@@ -6,7 +6,7 @@ charge and discharge laws fitted per cell and scaled by the series cell
 count. Sign convention throughout: positive battery current = discharge.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from pvbatsim import _kernels
 from pvbatsim.errors import ConvergenceError, DomainError, SingularityGuardError
@@ -26,15 +26,11 @@ class BatteryParams:
     current is ``c_10 / 10``. ``capacity_coeff`` is the printed 1.76 capacity
     factor (the classical fit uses 1.67). ``discharge_exp`` is the exponent of
     the discharge sag current term, 1.3 by default (1.8 is selectable).
-    ``r_bat`` and ``e_b`` describe the Thevenin view of one cell; the fitted
-    charge/discharge laws are the operative terminal-voltage model.
     """
 
     c_10: float = 100.0
     n_serial: int = 24
     n_parallel: int = 1
-    r_bat: float = 0.002
-    e_b: float = 2.0
     delta_t: float = 0.0
     capacity_coeff: float = 1.76
     discharge_exp: float = 1.3
@@ -44,8 +40,6 @@ class BatteryParams:
             raise DomainError("c_10 must be > 0")
         if self.n_serial < 1 or self.n_parallel < 1:
             raise DomainError("n_serial and n_parallel must be >= 1")
-        if self.r_bat < 0:
-            raise DomainError("r_bat must be >= 0")
 
     @property
     def i_10(self):
@@ -53,13 +47,15 @@ class BatteryParams:
         return self.c_10 / 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BatteryState:
-    """SOC, extracted charge and the last non-idle regime.
+    """SOC, extracted charge and the last non-idle regime, updated in place.
 
     ``q`` is the bank-level extracted charge [Ah]. ``mode_flag`` remembers the
     regime used to pick the open-circuit voltage branch at zero current.
     ``clamp_events`` counts SOC/charge clampings since the state was created.
+    Fields are validated at construction; :func:`soc_update` clamps what it
+    writes.
     """
 
     soc: float = 1.0
@@ -91,10 +87,9 @@ def capacity(i_bat, delta_t, params):
     return _kernels.capacity_ah(i_bat, delta_t, params.c_10, params.capacity_coeff)
 
 
-def bank_capacity(i_bank, params, delta_t=None):
+def bank_capacity(i_bank, params):
     """Bank capacity [Ah]: per-string capacity at the per-string share of ``i_bank``."""
-    dt = params.delta_t if delta_t is None else delta_t
-    return params.n_parallel * capacity(abs(i_bank) / params.n_parallel, dt, params)
+    return params.n_parallel * capacity(abs(i_bank) / params.n_parallel, params.delta_t, params)
 
 
 def discharge_voltage(soc, i_bat, delta_t, params):
@@ -132,7 +127,7 @@ def charge_voltage(soc, i_bat, delta_t, params):
     return _kernels.charge_voltage(soc, i_bat, params.c_10, delta_t, params.n_serial)
 
 
-def terminal_voltage(state, i_bat, params, delta_t=None):
+def terminal_voltage(state, i_bat, params):
     """Bank terminal voltage at signed bank current ``i_bat`` [V].
 
     Positive current dispatches to the discharge law, negative to the charge
@@ -140,7 +135,7 @@ def terminal_voltage(state, i_bat, params, delta_t=None):
     branch of the last regime. The two branches deliberately differ at zero
     current: the gap is the model's charge/discharge hysteresis.
     """
-    dt = params.delta_t if delta_t is None else delta_t
+    dt = params.delta_t
     i_str = abs(i_bat) / params.n_parallel
     if i_bat > 0:
         return discharge_voltage(state.soc, i_str, dt, params)
@@ -151,41 +146,39 @@ def terminal_voltage(state, i_bat, params, delta_t=None):
     return discharge_voltage(state.soc, 0.0, dt, params)
 
 
-def soc_update(state, i_bat, dt_h, params, delta_t=None):
+def soc_update(state, i_bat, dt_h, params):
     """Coulomb-counting update over ``dt_h`` hours at signed bank current ``i_bat``.
 
     Discharge (positive current) grows the extracted charge; charging shrinks
     it. Charge and SOC are clamped to their physical ranges and clampings are
-    counted on the returned state.
+    counted. Updates ``state`` in place and returns it.
     """
     if dt_h <= 0:
         raise DomainError("dt_h must be > 0")
-    dt = params.delta_t if delta_t is None else delta_t
-    clamps = state.clamp_events
     q = state.q + i_bat * dt_h
     if q < 0.0:
         q = 0.0
-        clamps += 1
+        state.clamp_events += 1
     cap = params.n_parallel * _kernels.capacity_ah(
-        abs(i_bat) / params.n_parallel, dt, params.c_10, params.capacity_coeff
+        abs(i_bat) / params.n_parallel, params.delta_t, params.c_10, params.capacity_coeff
     )
     soc = 1.0 - q / cap
     if soc < 0.0:
         soc = 0.0
-        clamps += 1
+        state.clamp_events += 1
     elif soc > 1.0:
         soc = 1.0
-        clamps += 1
+        state.clamp_events += 1
+    state.soc = soc
+    state.q = q
     if i_bat > 0:
-        flag = "discharging"
+        state.mode_flag = "discharging"
     elif i_bat < 0:
-        flag = "charging"
-    else:
-        flag = state.mode_flag
-    return replace(state, soc=soc, q=q, mode_flag=flag, clamp_events=clamps)
+        state.mode_flag = "charging"
+    return state
 
 
-def current_for_power(p_bat, state, params, delta_t=None):
+def current_for_power(p_bat, state, params):
     """Bank current [A] delivering power ``p_bat`` (positive = discharge).
 
     Terminal voltage depends on current, so ``i = p / v(i)`` is iterated to
@@ -193,7 +186,6 @@ def current_for_power(p_bat, state, params, delta_t=None):
     SOC outside the safe band and :class:`ConvergenceError` if the fixed point
     stalls.
     """
-    dt = params.delta_t if delta_t is None else delta_t
     if p_bat == 0.0:
         return 0.0
     if p_bat > 0 and state.soc <= SOC_FLOOR:
@@ -208,7 +200,7 @@ def current_for_power(p_bat, state, params, delta_t=None):
         p_bat,
         state.soc,
         params.c_10,
-        dt,
+        params.delta_t,
         params.n_serial,
         params.n_parallel,
         params.discharge_exp,

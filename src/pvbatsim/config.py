@@ -6,6 +6,7 @@ default.
 """
 
 import copy
+import math
 
 import yaml
 
@@ -37,8 +38,8 @@ _DEFAULTS = {
         "c_10_ah": 100.0,
         "n_serial": 24,
         "n_parallel": 1,
-        "r_bat_ohm": 0.002,
-        "e_b_v": 2.0,
+        "r_bat_ohm": 0.002,  # deprecated: validated but ignored, to be removed
+        "e_b_v": 2.0,        # deprecated: validated but ignored, to be removed
         "delta_t_c": 0.0,
         "capacity_coeff": 1.76,
         "discharge_exp": 1.3,
@@ -136,6 +137,8 @@ def _number(section, key, value, minimum=None, maximum=None,
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
     v = float(value)
+    if not math.isfinite(v):
+        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
     if minimum is not None and (v <= minimum if exclusive_min else v < minimum):
         raise ConfigError(f"{section}.{key} must be {'>' if exclusive_min else '>='} {minimum}")
     if maximum is not None and (v >= maximum if exclusive_max else v > maximum):
@@ -236,13 +239,13 @@ def build_sim_config(data=None, mppt_override=None):
     panel = _build_panel(merged["panel"])
 
     b = merged["battery"]
+    _number("battery", "r_bat_ohm", b["r_bat_ohm"], minimum=0)
+    _number("battery", "e_b_v", b["e_b_v"])
     try:
         battery = bat.BatteryParams(
             c_10=_number("battery", "c_10_ah", b["c_10_ah"], minimum=0, exclusive_min=True),
             n_serial=int(_number("battery", "n_serial", b["n_serial"], minimum=1)),
             n_parallel=int(_number("battery", "n_parallel", b["n_parallel"], minimum=1)),
-            r_bat=_number("battery", "r_bat_ohm", b["r_bat_ohm"], minimum=0),
-            e_b=_number("battery", "e_b_v", b["e_b_v"]),
             delta_t=_number("battery", "delta_t_c", b["delta_t_c"]),
             capacity_coeff=_number("battery", "capacity_coeff", b["capacity_coeff"],
                                    minimum=0, exclusive_min=True),

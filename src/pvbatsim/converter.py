@@ -5,60 +5,9 @@ are out of scope. The duty cycle is clamped below 1 to keep the 1/(1-D)
 ratio finite.
 """
 
-from dataclasses import dataclass
-
-from pvbatsim.errors import DomainError
-
 DEFAULT_D_MAX = 0.95
-
-
-@dataclass(frozen=True)
-class ConverterState:
-    """Duty cycle with its clamp and an optional flat efficiency."""
-
-    d: float = 0.0
-    d_max: float = DEFAULT_D_MAX
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.d_max < 1.0:
-            raise DomainError("d_max must lie in [0, 1)")
-        if not 0.0 <= self.d <= self.d_max:
-            raise DomainError(f"duty cycle {self.d} outside [0, {self.d_max}]")
-        if not 0.0 < self.eta <= 1.0:
-            raise DomainError("eta must lie in (0, 1]")
-
-
-def boost_output(v_pv, i_pv, state):
-    """Bus-side voltage and current for the PV port point ``(v_pv, i_pv)``.
-
-    ``v_out = v_pv / (1 - d)`` and ``i_out = eta * i_pv * (1 - d)``, so output
-    power equals ``eta`` times input power (exactly conserved at eta = 1).
-    """
-    if not 0.0 <= state.d <= state.d_max:
-        raise DomainError(f"duty cycle {state.d} outside [0, {state.d_max}]")
-    ratio = 1.0 - state.d
-    return v_pv / ratio, state.eta * i_pv * ratio
 
 
 def pv_port_voltage(v_bus, d):
     """PV-side voltage seen through the boost stage at duty ``d`` on a pinned bus."""
     return (1.0 - d) * v_bus
-
-
-def duty_for_bus(v_pv, v_bus, d_max=DEFAULT_D_MAX):
-    """Duty cycle that boosts ``v_pv`` onto a bus pinned at ``v_bus``.
-
-    Inverse of the boost ratio, clamped to [0, d_max]. The PV voltage must be
-    positive; a bus below the PV voltage clamps to d = 0 (pass-through).
-    """
-    if v_pv <= 0:
-        raise DomainError(f"v_pv must be > 0, got {v_pv}")
-    if v_bus <= 0:
-        raise DomainError(f"v_bus must be > 0, got {v_bus}")
-    d = 1.0 - v_pv / v_bus
-    if d < 0.0:
-        return 0.0
-    if d > d_max:
-        return d_max
-    return d

@@ -15,7 +15,7 @@ converter loss in e_loss, so the closure identity holds for any efficiency.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from pvbatsim import battery as bat
 from pvbatsim import mppt as mp
@@ -54,7 +54,6 @@ class SimConfig:
     load: TimeSeriesProfile
     dt: float = 1.0
     t_end: float = 86400.0
-    t_start: float = 0.0
     mppt_kind: str = "flc"
     d0: float = 0.4
     delta_d: float = 0.005
@@ -63,7 +62,6 @@ class SimConfig:
     eta: float = 1.0
     v_bus_nominal: float = None
     initial_soc: float = 0.8
-    check_invariants: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -148,7 +146,7 @@ class EnergyLedger:
 
 @dataclass
 class EngineState:
-    """Mutable per-run state threaded through the steps."""
+    """Per-run state; each step updates it and its component states in place."""
 
     bat: bat.BatteryState
     mppt: mp.MpptState
@@ -169,7 +167,7 @@ def init_state(config):
 
 
 def step(config, state, t, ledger=None, step_index=0):
-    """Advance one engine step at time ``t``; returns the step's record.
+    """Advance one step at time ``t``, updating ``state`` in place; returns the step's record.
 
     Solver failures abort with the step index attached; battery singularity
     guards downgrade to a protective mode (4 while charging, 5 while
@@ -183,9 +181,9 @@ def step(config, state, t, ledger=None, step_index=0):
     state.steps_since_mppt += 1
     if state.have_meas and state.steps_since_mppt >= config.mppt_every:
         if config.mppt_kind == "po":
-            state.mppt = mp.po_step(state.p_meas, state.v_meas, state.mppt)
+            mp.po_step(state.p_meas, state.v_meas, state.mppt)
         else:
-            state.mppt = mp.flc_step(state.p_meas, state.v_meas, state.mppt, config.fuzzy)
+            mp.flc_step(state.p_meas, state.v_meas, state.mppt, config.fuzzy)
         state.steps_since_mppt = 0
 
     d = state.mppt.d
@@ -207,7 +205,7 @@ def step(config, state, t, ledger=None, step_index=0):
     state.v_meas = v_cand
     state.have_meas = True
 
-    state.sup = sup.select_mode(p_avail, p_load, state.bat.soc, state.sup, config.supervisor)
+    sup.select_mode(p_avail, p_load, state.bat.soc, state.sup, config.supervisor)
     mode = state.sup.mode
     p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
 
@@ -219,7 +217,7 @@ def step(config, state, t, ledger=None, step_index=0):
         )
     except SingularityGuardError:
         mode = SupervisorMode.MODE4 if p_bat_set < 0 else SupervisorMode.MODE5
-        state.sup = replace(state.sup, mode=mode)
+        state.sup.mode = mode
         p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
         i_bat = 0.0
         flags |= FLAG_PROTECTIVE
@@ -231,7 +229,7 @@ def step(config, state, t, ledger=None, step_index=0):
     v_bat = bat.terminal_voltage(state.bat, i_bat, config.battery)
     p_bat = i_bat * v_bat
     before = state.bat.clamp_events
-    state.bat = bat.soc_update(state.bat, i_bat, config.dt / 3600.0, config.battery)
+    bat.soc_update(state.bat, i_bat, config.dt / 3600.0, config.battery)
     if state.bat.clamp_events > before:
         flags |= FLAG_SOC_CLAMP
 
@@ -272,8 +270,7 @@ def step(config, state, t, ledger=None, step_index=0):
         ledger.e_curtailed += p_curt * h
         ledger.e_loss += ((p_port - p_avail) if connected else 0.0) * h
 
-    if config.check_invariants:
-        _check_balance(record, step_index)
+    _check_balance(record, step_index)
     return record
 
 
@@ -304,8 +301,7 @@ def run(config):
     ledger = EnergyLedger()
     records = []
     for k in range(config.n_steps):
-        t = config.t_start + k * config.dt
-        records.append(step(config, state, t, ledger, k))
+        records.append(step(config, state, k * config.dt, ledger, k))
     return records, ledger
 
 
@@ -366,9 +362,9 @@ def run_tracking(kind, panel, g, t_c, n_steps, v_bus, d0=0.4, delta_d=0.005,
         p = eta * point.p_pv
         out.append((state.d, v, p))
         if kind == "po":
-            state = mp.po_step(p, v, state)
+            mp.po_step(p, v, state)
         elif kind == "flc":
-            state = mp.flc_step(p, v, state, fuzzy)
+            mp.flc_step(p, v, state, fuzzy)
         else:
             raise ConfigError(f"unknown controller kind {kind!r}")
     return out

@@ -8,7 +8,7 @@ negative duty increment).
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from pvbatsim.converter import DEFAULT_D_MAX
 from pvbatsim.errors import DomainError
@@ -43,9 +43,13 @@ def rule_output(e_label, ce_label):
     return FuzzyLabel(RULE_TABLE[int(ce_label) + 2][int(e_label) + 2])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MpptState:
-    """Controller memory shared by both algorithms."""
+    """Controller memory shared by both algorithms, updated in place by each step.
+
+    Fields are validated at construction; the step functions clamp the duty
+    cycle they write, so later updates need no re-check.
+    """
 
     p_prev: float = 0.0
     v_prev: float = 0.0
@@ -103,21 +107,25 @@ class FuzzyConfig:
 
 
 def po_step(p_now, v_now, state):
-    """One perturb & observe decision.
+    """One perturb & observe decision; updates ``state`` in place and returns it.
 
     Power rose since the last sample: keep perturbing the same way. Power
     fell: reverse. Unchanged power leaves the duty and direction alone.
     """
     dp = p_now - state.p_prev
+    state.p_prev = p_now
+    state.v_prev = v_now
     if dp == 0.0:
-        return replace(state, p_prev=p_now, v_prev=v_now)
+        return state
     direction = state.direction if dp > 0.0 else -state.direction
     d = state.d + direction * state.delta_d
     if d < 0.0:
         d = 0.0
     elif d > state.d_max:
         d = state.d_max
-    return replace(state, p_prev=p_now, v_prev=v_now, d=d, direction=direction)
+    state.d = d
+    state.direction = direction
+    return state
 
 
 def compute_error_signals(p_now, p_prev, v_now, v_prev, e_prev):
@@ -184,7 +192,7 @@ def defuzzify(activations, centers):
 
 
 def flc_step(p_now, v_now, state, config):
-    """One fuzzy controller decision: error signals, rule base, duty update."""
+    """One fuzzy decision (error signals, rule base, duty update); updates ``state`` in place."""
     e, ce = compute_error_signals(p_now, state.p_prev, v_now, state.v_prev, state.e_prev)
     mu_e = fuzzify(e / config.e_range, config.e_centers)
     mu_ce = fuzzify(ce / config.ce_range, config.ce_centers)
@@ -194,4 +202,8 @@ def flc_step(p_now, v_now, state, config):
         d = 0.0
     elif d > state.d_max:
         d = state.d_max
-    return replace(state, p_prev=p_now, v_prev=v_now, e_prev=e, d=d)
+    state.p_prev = p_now
+    state.v_prev = v_now
+    state.e_prev = e
+    state.d = d
+    return state

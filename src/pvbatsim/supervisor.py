@@ -7,7 +7,7 @@ crossing causes at most one mode change.
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from pvbatsim.errors import DomainError
 
@@ -57,9 +57,9 @@ class SupervisorConfig:
             raise DomainError("p_epsilon must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SupervisorState:
-    """Threaded supervisor memory: previous mode plus the two protection latches.
+    """Supervisor memory, updated in place: previous mode plus the two protection latches.
 
     The latches cannot be reconstructed from the previous mode alone: a brief
     PV dip inside the hysteresis band would otherwise re-enable charging (or
@@ -72,24 +72,22 @@ class SupervisorState:
 
 
 def update_latches(state, soc, config):
-    """Set/clear the protection latches from the current SOC."""
-    charge_blocked = state.charge_blocked
+    """Set/clear the protection latches from the current SOC, in place; returns ``state``."""
     if soc >= config.soc_max:
-        charge_blocked = True
+        state.charge_blocked = True
     elif soc <= config.soc_max_release:
-        charge_blocked = False
-    discharge_blocked = state.discharge_blocked
+        state.charge_blocked = False
     if soc <= config.soc_min:
-        discharge_blocked = True
+        state.discharge_blocked = True
     elif soc >= config.soc_min_release:
-        discharge_blocked = False
-    return replace(state, charge_blocked=charge_blocked, discharge_blocked=discharge_blocked)
+        state.discharge_blocked = False
+    return state
 
 
 def select_mode(p_pv, p_load, soc, state, config):
     """Pick the operating mode for the current power balance and SOC.
 
-    Returns the new supervisor state carrying the selected mode. Protection
+    Updates ``state`` in place (latches and mode) and returns it. Protection
     outranks economics: a latched battery is never charged above the max band
     nor discharged below the min band. PV covering the load but with surplus
     below ``p_epsilon`` is served directly (MODE4) rather than cycling the
@@ -99,21 +97,21 @@ def select_mode(p_pv, p_load, soc, state, config):
         raise DomainError("p_pv and p_load must be >= 0")
     if not 0.0 <= soc <= 1.0:
         raise DomainError("soc must lie in [0, 1]")
-    state = update_latches(state, soc, config)
+    update_latches(state, soc, config)
     chargeable = not state.charge_blocked
     dischargeable = not state.discharge_blocked
 
     if p_pv >= p_load + config.p_epsilon and chargeable:
-        mode = SupervisorMode.MODE1
+        state.mode = SupervisorMode.MODE1
     elif p_pv >= p_load:
-        mode = SupervisorMode.MODE4
+        state.mode = SupervisorMode.MODE4
     elif p_pv >= config.p_epsilon and dischargeable:
-        mode = SupervisorMode.MODE2
+        state.mode = SupervisorMode.MODE2
     elif p_pv < config.p_epsilon and dischargeable:
-        mode = SupervisorMode.MODE3
+        state.mode = SupervisorMode.MODE3
     else:
-        mode = SupervisorMode.MODE5
-    return replace(state, mode=mode)
+        state.mode = SupervisorMode.MODE5
+    return state
 
 
 def switch_states(mode):

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, output formats."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -132,6 +133,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "soc_min" in err and "soc_max" in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("simulation", "dt_s", ".nan"),
+        ("simulation", "t_end_s", ".inf"),
+        ("battery", "c_10_ah", ".nan"),
+    ])
+    def test_non_finite_number_exit_1(self, section, key, value, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"{section}:\n  {key}: {value}\n", encoding="utf-8")
+        code = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err
+        assert "Traceback" not in err
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = cli.main(
             ["simulate", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "o.csv")]
@@ -225,3 +240,38 @@ class TestDeterminismViaSubprocess:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestGoldenOutput:
+    """Byte-identity pin on the pure kernels.
+
+    1,440 steps through modes 1, 2, 3 and 5 (the lower latch); FLC also
+    visits mode 4.
+    """
+
+    HASHES = {
+        "flc": ("ab7d5ee1035f833d7544a6bb80102c8508f39d487f5ea5e634ed805408a7049a",
+                "9dad728ccc2062b50bf2c3a8699b0203e9d8433736515b2feb5d99475f124d0e"),
+        "po": ("3ea1e0d9488e60339aaf2a5f7e3744e84f0b6e7c847a1a4fdc26d5ef48457307",
+               "f74b2435c77353ad77c8bac35f3b4171f98e058bd4ed7c38d3d1ff401e658b5e"),
+    }
+
+    @pytest.mark.parametrize("mppt", ["flc", "po"])
+    def test_sha256(self, mppt, tmp_path):
+        cfg = tmp_path / "golden.yaml"
+        cfg.write_text("simulation:\n  dt_s: 60\n  initial_soc: 0.3\n", encoding="utf-8")
+        out = tmp_path / "golden.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pvbatsim", "simulate",
+             "--config", str(cfg), "--out", str(out), "--mppt", mppt],
+            capture_output=True, text=True, env={**os.environ, "PVBATSIM_PURE": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        csv_bytes = out.read_bytes()
+        modes = {line.split(",")[12] for line in csv_bytes.decode().splitlines()[1:]}
+        assert {"1", "2", "3", "5"} <= modes
+        digests = tuple(
+            hashlib.sha256(data).hexdigest()
+            for data in (csv_bytes, (tmp_path / "golden.csv.ledger").read_bytes())
+        )
+        assert digests == self.HASHES[mppt]

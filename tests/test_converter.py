@@ -1,69 +1,10 @@
 """Boost converter quasi-static relations."""
 
-import numpy as np
 import pytest
 
 from pvbatsim import converter
-from pvbatsim.errors import DomainError
-
-
-class TestBoostOutput:
-    def test_zero_duty_passthrough(self):
-        state = converter.ConverterState(d=0.0)
-        assert converter.boost_output(40.0, 4.0, state) == (40.0, 4.0)
-
-    def test_half_duty(self):
-        state = converter.ConverterState(d=0.5)
-        v_out, i_out = converter.boost_output(40.0, 4.0, state)
-        assert v_out == pytest.approx(80.0, rel=1e-15)
-        assert i_out == pytest.approx(2.0, rel=1e-15)
-
-    def test_power_conservation(self):
-        rng = np.random.RandomState(17)
-        for _ in range(500):
-            v = rng.uniform(0.1, 100.0)
-            i = rng.uniform(0.0, 20.0)
-            d = rng.uniform(0.0, 0.95)
-            v_out, i_out = converter.boost_output(v, i, converter.ConverterState(d=d))
-            assert v_out * i_out == pytest.approx(v * i, rel=1e-12)
-
-    def test_efficiency_scales_power(self):
-        state = converter.ConverterState(d=0.3, eta=0.9)
-        v_out, i_out = converter.boost_output(50.0, 5.0, state)
-        assert v_out * i_out == pytest.approx(0.9 * 250.0, rel=1e-12)
-
-    def test_duty_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            converter.ConverterState(d=0.99)
-        with pytest.raises(DomainError):
-            converter.ConverterState(d=-0.1)
 
 
 class TestDutyForBus:
-    def test_unity_ratio(self):
-        assert converter.duty_for_bus(48.0, 48.0) == 0.0
-
-    def test_half(self):
-        assert converter.duty_for_bus(40.0, 80.0) == pytest.approx(0.5, rel=1e-15)
-
-    def test_clamps_at_d_max(self):
-        assert converter.duty_for_bus(40.0, 4000.0) == 0.95
-
-    def test_nonpositive_pv_voltage_rejected(self):
-        with pytest.raises(DomainError):
-            converter.duty_for_bus(0.0, 48.0)
-        with pytest.raises(DomainError):
-            converter.duty_for_bus(-1.0, 48.0)
-
-    def test_round_trip(self):
-        rng = np.random.RandomState(23)
-        for _ in range(300):
-            v_pv = rng.uniform(1.0, 60.0)
-            v_bus = rng.uniform(v_pv, v_pv * 10.0)
-            d = converter.duty_for_bus(v_pv, v_bus)
-            if d < 0.95:  # no clamp engaged
-                v_out, _ = converter.boost_output(v_pv, 1.0, converter.ConverterState(d=d))
-                assert v_out == pytest.approx(v_bus, rel=1e-12)
-
     def test_port_voltage_inverse(self):
         assert converter.pv_port_voltage(80.0, 0.5) == pytest.approx(40.0)
