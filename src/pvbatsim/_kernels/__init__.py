@@ -1,35 +1,19 @@
-"""Numeric kernel backend selection.
+"""Numeric kernels: the implicit diode solve and the battery voltage laws.
 
-The compiled extension ``_core`` is preferred; the pure-Python twin ``_pure``
-is used when the extension was not built or when the environment variable
-``PVBATSIM_PURE`` is set (useful for debugging and for the benchmark).
+The implementations live in ``_pure``. Callers look them up on this package
+at call time (``_kernels.solve_diode_current``), so a tracer can rebind them.
 """
 
-import os
-
-if os.environ.get("PVBATSIM_PURE"):
-    from pvbatsim._kernels import _pure as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from pvbatsim._kernels import _core as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        from pvbatsim._kernels import _pure as _impl
-
-        BACKEND = "pure"
-
-diode_residual = _impl.diode_residual
-solve_diode_current = _impl.solve_diode_current
-open_circuit_voltage = _impl.open_circuit_voltage
-capacity_ah = _impl.capacity_ah
-discharge_voltage = _impl.discharge_voltage
-charge_voltage = _impl.charge_voltage
-battery_current_for_power = _impl.battery_current_for_power
+from pvbatsim._kernels._pure import (
+    battery_current_for_power,
+    capacity_ah,
+    charge_voltage,
+    discharge_voltage,
+    open_circuit_voltage,
+    solve_diode_current,
+)
 
 
 def backend_name():
-    """Name of the kernel backend selected at import ('cython' or 'pure')."""
-    return BACKEND
+    """Name of the kernel implementation, reported in benchmark metadata: ``'pure'``."""
+    return "pure"

@@ -1,9 +1,7 @@
 """Pure-Python numeric kernels.
 
-Reference implementation of the hot inner loops (implicit diode solve,
-battery terminal-voltage laws and the power->current fixed point). The
-compiled module ``pvbatsim._kernels._core`` mirrors these functions
-expression-for-expression; keep both in sync.
+The hot inner loops: implicit diode solve, battery terminal-voltage laws and
+the power->current fixed point.
 """
 
 import math

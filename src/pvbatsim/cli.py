@@ -7,6 +7,7 @@ characteristic dump), ``mppt-compare`` (paired controller bench) and
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -68,8 +69,11 @@ def _cmd_simulate(args):
 
 
 def _cmd_iv_curve(args):
-    if args.g < 0:
-        print("iv-curve: --g must be >= 0", file=sys.stderr)
+    if not (math.isfinite(args.g) and args.g >= 0):
+        print("iv-curve: --g must be a finite number >= 0", file=sys.stderr)
+        return EXIT_CONFIG
+    if not (math.isfinite(args.t) and args.t > -273.15):
+        print("iv-curve: --t must be a finite temperature above -273.15 degC", file=sys.stderr)
         return EXIT_CONFIG
     if args.points < 2:
         print("iv-curve: --points must be >= 2", file=sys.stderr)
@@ -239,7 +243,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except InvariantViolation as exc:

@@ -15,7 +15,7 @@ from pvbatsim import mppt as mp
 from pvbatsim import pv
 from pvbatsim import supervisor as sup
 from pvbatsim.engine import SimConfig
-from pvbatsim.errors import ConfigError
+from pvbatsim.errors import ConfigError, ProfileError
 from pvbatsim.profiles import DEFAULT_LOAD_BLOCKS, load_csv, synthetic_day
 
 #: Panel presets selectable as ``panel.preset``.
@@ -97,6 +97,8 @@ def load_config_file(path):
             data = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -148,7 +150,7 @@ def _number(section, key, value, minimum=None, maximum=None,
 
 def _build_panel(section):
     preset_name = section.get("preset", "generic_80w")
-    if preset_name not in PANEL_PRESETS:
+    if not isinstance(preset_name, str) or preset_name not in PANEL_PRESETS:
         raise ConfigError(
             f"panel.preset {preset_name!r} unknown; available: {sorted(PANEL_PRESETS)}"
         )
@@ -163,55 +165,87 @@ def _build_panel(section):
         else:
             overrides[key] = _number("panel", key, value)
     base = PANEL_PRESETS[preset_name]
-    try:
-        return pv.PvPanelParams(**{**_panel_as_dict(base), **overrides})
-    except ValueError as exc:
-        raise ConfigError(f"panel: {exc}") from exc
+    return _construct("panel", pv.PvPanelParams, **{**_panel_as_dict(base), **overrides})
 
 
 def _panel_as_dict(params):
     return {name: getattr(params, name) for name in _PANEL_FIELDS}
 
 
+def _construct(section, cls, **fields):
+    """Build ``cls(**fields)``, naming ``section`` in the errors of its own checks.
+
+    The fields are evaluated before the call, so a key-named ``ConfigError``
+    from ``_number`` passes through without a second prefix.
+    """
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+_SYNTHETIC_KEYS = {
+    "g_peak_wm2": "g_peak", "t_min_c": "t_min", "t_max_c": "t_max",
+    "sunrise_h": "sunrise_h", "sunset_h": "sunset_h", "temp_lag_h": "temp_lag_h",
+}
+
+_PROFILE_COLUMNS = {"irradiance": "irradiance_wm2", "temperature": "temperature_c",
+                    "load": "load_w"}
+
+
+def _build_synthetic(syn):
+    section = "profiles.synthetic"
+    if not isinstance(syn, dict):
+        raise ConfigError(f"{section} must be a mapping")
+    kwargs = {}
+    for key, value in syn.items():
+        if key == "load_blocks":
+            kwargs["load_blocks"] = _load_blocks(value)
+        elif key in _SYNTHETIC_KEYS:
+            kwargs[_SYNTHETIC_KEYS[key]] = _number(section, key, value)
+        else:
+            raise ConfigError(f"unknown config key '{section}.{key}'")
+    try:
+        return synthetic_day(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _load_blocks(value):
+    key = "profiles.synthetic.load_blocks"
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of [start_h, end_h, watts]")
+    blocks = []
+    for i, block in enumerate(value):
+        if not isinstance(block, list) or len(block) != 3:
+            raise ConfigError(f"{key}[{i}] must be [start_h, end_h, watts]")
+        blocks.append([_number(f"{key}[{i}]", field, x)
+                       for field, x in zip(("start_h", "end_h", "watts"), block)])
+    return blocks
+
+
+def _load_profile_csv(name, entry):
+    if not isinstance(entry, dict) or "csv" not in entry:
+        raise ConfigError(f"profiles.{name} must be a mapping with a 'csv' path")
+    path = entry["csv"]
+    if not isinstance(path, str):
+        raise ConfigError(f"profiles.{name}.csv must be a path string, got {path!r}")
+    try:
+        return load_csv(path, _PROFILE_COLUMNS[name])
+    except (ProfileError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"profiles.{name}.csv: {exc}") from exc
+
+
 def _build_profiles(section):
+    if not isinstance(section, dict):
+        raise ConfigError("profiles must be a mapping")
     if "synthetic" in section and len(section) == 1:
-        syn = section["synthetic"]
-        known = {"g_peak_wm2", "t_min_c", "t_max_c", "sunrise_h", "sunset_h",
-                 "temp_lag_h", "load_blocks"}
-        for key in syn:
-            if key not in known:
-                raise ConfigError(f"unknown config key 'profiles.synthetic.{key}'")
-        blocks = syn.get("load_blocks", [list(b) for b in DEFAULT_LOAD_BLOCKS])
-        for i, block in enumerate(blocks):
-            if len(block) != 3:
-                raise ConfigError(
-                    f"profiles.synthetic.load_blocks[{i}] must be [start_h, end_h, watts]"
-                )
-        try:
-            return synthetic_day(
-                g_peak=syn.get("g_peak_wm2", 1000.0),
-                t_min=syn.get("t_min_c", 15.0),
-                t_max=syn.get("t_max_c", 35.0),
-                load_blocks=blocks,
-                sunrise_h=syn.get("sunrise_h", 6.0),
-                sunset_h=syn.get("sunset_h", 18.0),
-                temp_lag_h=syn.get("temp_lag_h", 1.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"profiles.synthetic: {exc}") from exc
-    if {"irradiance", "temperature", "load"} <= set(section):
+        return _build_synthetic(section["synthetic"])
+    if set(_PROFILE_COLUMNS) <= set(section):
         for key in section:
-            if key not in ("irradiance", "temperature", "load"):
+            if key not in _PROFILE_COLUMNS:
                 raise ConfigError(f"unknown config key 'profiles.{key}'")
-        column = {"irradiance": "irradiance_wm2", "temperature": "temperature_c",
-                  "load": "load_w"}
-        out = []
-        for name in ("irradiance", "temperature", "load"):
-            entry = section[name]
-            if not isinstance(entry, dict) or "csv" not in entry:
-                raise ConfigError(f"profiles.{name} must be a mapping with a 'csv' path")
-            out.append(load_csv(entry["csv"], column[name]))
-        return tuple(out)
+        return tuple(_load_profile_csv(name, section[name]) for name in _PROFILE_COLUMNS)
     raise ConfigError(
         "profiles must be either {synthetic: {...}} or per-signal "
         "{irradiance: {csv: ...}, temperature: {csv: ...}, load: {csv: ...}}"
@@ -241,19 +275,17 @@ def build_sim_config(data=None, mppt_override=None):
     b = merged["battery"]
     _number("battery", "r_bat_ohm", b["r_bat_ohm"], minimum=0)
     _number("battery", "e_b_v", b["e_b_v"])
-    try:
-        battery = bat.BatteryParams(
-            c_10=_number("battery", "c_10_ah", b["c_10_ah"], minimum=0, exclusive_min=True),
-            n_serial=int(_number("battery", "n_serial", b["n_serial"], minimum=1)),
-            n_parallel=int(_number("battery", "n_parallel", b["n_parallel"], minimum=1)),
-            delta_t=_number("battery", "delta_t_c", b["delta_t_c"]),
-            capacity_coeff=_number("battery", "capacity_coeff", b["capacity_coeff"],
-                                   minimum=0, exclusive_min=True),
-            discharge_exp=_number("battery", "discharge_exp", b["discharge_exp"],
-                                  minimum=0, exclusive_min=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"battery: {exc}") from exc
+    battery = _construct(
+        "battery", bat.BatteryParams,
+        c_10=_number("battery", "c_10_ah", b["c_10_ah"], minimum=0, exclusive_min=True),
+        n_serial=int(_number("battery", "n_serial", b["n_serial"], minimum=1)),
+        n_parallel=int(_number("battery", "n_parallel", b["n_parallel"], minimum=1)),
+        delta_t=_number("battery", "delta_t_c", b["delta_t_c"]),
+        capacity_coeff=_number("battery", "capacity_coeff", b["capacity_coeff"],
+                               minimum=0, exclusive_min=True),
+        discharge_exp=_number("battery", "discharge_exp", b["discharge_exp"],
+                              minimum=0, exclusive_min=True),
+    )
 
     conv = merged["converter"]
     d_max = _number("converter", "d_max", conv["d_max"], minimum=0, maximum=1,
@@ -266,14 +298,12 @@ def build_sim_config(data=None, mppt_override=None):
     t_mppt = _number("mppt", "t_mppt_s", m["t_mppt_s"], minimum=0, exclusive_min=True)
     d0 = _number("mppt", "d0", m["d0"], minimum=0, maximum=d_max)
     f = m["fuzzy"]
-    try:
-        fuzzy = mp.FuzzyConfig(
-            e_range=_number("mppt.fuzzy", "e_range", f["e_range"], minimum=0, exclusive_min=True),
-            ce_range=_number("mppt.fuzzy", "ce_range", f["ce_range"], minimum=0, exclusive_min=True),
-            dd_range=_number("mppt.fuzzy", "dd_range", f["dd_range"], minimum=0, exclusive_min=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"mppt.fuzzy: {exc}") from exc
+    fuzzy = _construct(
+        "mppt.fuzzy", mp.FuzzyConfig,
+        e_range=_number("mppt.fuzzy", "e_range", f["e_range"], minimum=0, exclusive_min=True),
+        ce_range=_number("mppt.fuzzy", "ce_range", f["ce_range"], minimum=0, exclusive_min=True),
+        dd_range=_number("mppt.fuzzy", "dd_range", f["dd_range"], minimum=0, exclusive_min=True),
+    )
 
     s = merged["supervisor"]
     soc_min = _number("supervisor", "soc_min", s["soc_min"])
@@ -282,17 +312,15 @@ def build_sim_config(data=None, mppt_override=None):
         raise ConfigError(
             f"supervisor.soc_min ({soc_min}) must be below supervisor.soc_max ({soc_max})"
         )
-    try:
-        supervisor = sup.SupervisorConfig(
-            soc_min=soc_min,
-            soc_min_release=_number("supervisor", "soc_min_release", s["soc_min_release"]),
-            soc_max=soc_max,
-            soc_max_release=_number("supervisor", "soc_max_release", s["soc_max_release"]),
-            p_epsilon=_number("supervisor", "p_epsilon_w", s["p_epsilon_w"],
-                              minimum=0, exclusive_min=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"supervisor: {exc}") from exc
+    supervisor = _construct(
+        "supervisor", sup.SupervisorConfig,
+        soc_min=soc_min,
+        soc_min_release=_number("supervisor", "soc_min_release", s["soc_min_release"]),
+        soc_max=soc_max,
+        soc_max_release=_number("supervisor", "soc_max_release", s["soc_max_release"]),
+        p_epsilon=_number("supervisor", "p_epsilon_w", s["p_epsilon_w"],
+                          minimum=0, exclusive_min=True),
+    )
 
     irradiance, temperature, load = _build_profiles(merged["profiles"])
 

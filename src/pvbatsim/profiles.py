@@ -18,26 +18,22 @@ _NON_NEGATIVE = ("irradiance_wm2", "load_w")
 
 @dataclass(frozen=True)
 class TimeSeriesProfile:
-    """Sampled signal over time with an interpolation and boundary policy.
+    """Sampled signal over time with an interpolation policy.
 
     ``interpolation`` is ``"step"`` (hold the previous knot, right-continuous)
-    or ``"linear"``. ``boundary`` is ``"error"`` or ``"hold"`` (clamp to the
-    end values outside the time range).
+    or ``"linear"``. Outside the time range the end values hold.
     """
 
     times: tuple
     values: tuple
     quantity: str
     interpolation: str = "linear"
-    boundary: str = "hold"
 
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
             raise ProfileError(f"unknown quantity {self.quantity!r}, expected one of {QUANTITIES}")
         if self.interpolation not in ("step", "linear"):
             raise ProfileError(f"interpolation must be 'step' or 'linear', got {self.interpolation!r}")
-        if self.boundary not in ("error", "hold"):
-            raise ProfileError(f"boundary must be 'error' or 'hold', got {self.boundary!r}")
         if len(self.times) == 0:
             raise ProfileError("profile needs at least one sample")
         if len(self.times) != len(self.values):
@@ -60,13 +56,9 @@ class TimeSeriesProfile:
 
 
 def sample(profile, t):
-    """Value of ``profile`` at time ``t`` [s] under its policies."""
+    """Value of ``profile`` at time ``t`` [s], clamped to the end values."""
     times = profile.times
     if t < times[0] or t > times[-1]:
-        if profile.boundary == "error":
-            raise ProfileError(
-                f"t={t} outside profile range [{times[0]}, {times[-1]}]"
-            )
         return profile.values[0] if t < times[0] else profile.values[-1]
     k = bisect_right(times, t) - 1
     if k == len(times) - 1:
@@ -78,15 +70,14 @@ def sample(profile, t):
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
-def load_csv(path, column, interpolation=None, boundary="hold"):
+def load_csv(path, column):
     """Read a two-column profile CSV with header ``time_s,<column>``.
 
-    Validation failures (missing column, non-monotonic time, NaN, negative
-    irradiance/load, unparseable rows) raise :class:`ProfileError` naming the
-    offending row.
+    Load is held step-wise between rows; irradiance and temperature are
+    interpolated linearly. Validation failures (missing column, non-monotonic
+    time, NaN, negative irradiance/load, unparseable rows) raise
+    :class:`ProfileError` naming the offending row.
     """
-    if interpolation is None:
-        interpolation = "step" if column == "load_w" else "linear"
     times, values = [], []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -116,7 +107,7 @@ def load_csv(path, column, interpolation=None, boundary="hold"):
         raise ProfileError(f"{path}: no data rows")
     return TimeSeriesProfile(
         times=tuple(times), values=tuple(values), quantity=column,
-        interpolation=interpolation, boundary=boundary,
+        interpolation="step" if column == "load_w" else "linear",
     )
 
 

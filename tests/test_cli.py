@@ -214,6 +214,78 @@ class TestMpptCompare:
         assert code in (0, 3)  # ripple ordering is asserted on the constant bench
 
 
+SIMULATE = ["simulate", "--config", "{tmp}/case.yaml", "--out", "{tmp}/o.csv"]
+IV_CURVE = ["iv-curve", "--out", "{tmp}/o.csv"]
+CSV_LOAD = ("profiles:\n  irradiance: {csv: {tmp}/irr.csv}\n"
+            "  temperature: {csv: {tmp}/temp.csv}\n  load: {csv: %s}\n")
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    """Valid irradiance/temperature CSVs and the malformed files the cases name."""
+    (tmp_path / "irr.csv").write_text("time_s,irradiance_wm2\n0,800\n60,800\n", encoding="utf-8")
+    (tmp_path / "temp.csv").write_text("time_s,temperature_c\n0,25\n60,25\n", encoding="utf-8")
+    (tmp_path / "header.csv").write_text("time_s,power_w\n0,100\n", encoding="utf-8")
+    (tmp_path / "row.csv").write_text("time_s,load_w\n0,100\nabc,100\n", encoding="utf-8")
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbftime_s,load_w\n0,100\n")
+    (tmp_path / "latin1.csv").write_bytes(b"time_s,load_w\n0,100\xff\n")
+    (tmp_path / "latin1.yaml").write_bytes(b"\xff\xfe")
+    (tmp_path / "adir").mkdir()
+    return tmp_path
+
+
+class TestBadInputs:
+    """Each bad input exits with its documented code and names its key, flag or path."""
+
+    @pytest.mark.parametrize("yaml_text,argv,code,needle", [
+        pytest.param("profiles: {synthetic: {g_peak_wm2: abc}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.g_peak_wm2", id="synthetic-not-number"),
+        pytest.param("profiles: {synthetic: {load_blocks: 5}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.load_blocks", id="blocks-not-list"),
+        pytest.param("profiles: {synthetic: {load_blocks: [5]}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.load_blocks[0]", id="block-not-list"),
+        pytest.param("profiles: {synthetic: 3}", SIMULATE, 1,
+                     "config error: profiles.synthetic", id="synthetic-not-mapping"),
+        pytest.param(CSV_LOAD % "5", SIMULATE, 1,
+                     "config error: profiles.load.csv", id="csv-number"),
+        pytest.param(CSV_LOAD % "[a]", SIMULATE, 1,
+                     "config error: profiles.load.csv", id="csv-list"),
+        pytest.param(CSV_LOAD % "{tmp}/header.csv", SIMULATE, 1,
+                     "config error: profiles.load.csv", id="csv-wrong-header"),
+        pytest.param(CSV_LOAD % "{tmp}/row.csv", SIMULATE, 1,
+                     "config error: profiles.load.csv", id="csv-unparseable-row"),
+        pytest.param(CSV_LOAD % "{tmp}/bom.csv", SIMULATE, 1,
+                     "config error: profiles.load.csv", id="csv-bom-header"),
+        pytest.param(CSV_LOAD % "{tmp}/latin1.csv", SIMULATE, 1,
+                     "config error: profiles.load.csv", id="csv-not-utf8"),
+        pytest.param(CSV_LOAD % "{tmp}/adir", SIMULATE, 2, "{tmp}/adir", id="csv-directory"),
+        pytest.param(None, ["simulate", "--config", "{tmp}/adir", "--out", "{tmp}/o.csv"], 2,
+                     "{tmp}/adir", id="config-directory"),
+        pytest.param(None, ["simulate", "--config", "{tmp}/latin1.yaml", "--out", "{tmp}/o.csv"],
+                     1, "config error: {tmp}/latin1.yaml", id="config-not-utf8"),
+        pytest.param(None, IV_CURVE + ["--g", "nan"], 1, "--g", id="iv-g-nan"),
+        pytest.param(None, IV_CURVE + ["--g", "inf"], 1, "--g", id="iv-g-inf"),
+        pytest.param(None, IV_CURVE + ["--t", "nan"], 1, "--t", id="iv-t-nan"),
+        pytest.param(None, IV_CURVE + ["--t", "-300"], 1, "--t", id="iv-t-below-zero-k"),
+        pytest.param("panel: {preset: [a]}", SIMULATE, 1,
+                     "config error: panel.preset", id="preset-not-string"),
+        pytest.param("battery: {c_10_ah: -1}", SIMULATE, 1,
+                     "config error: battery.c_10_ah", id="battery-single-prefix"),
+        pytest.param("mppt: {fuzzy: {e_range: -1}}", SIMULATE, 1,
+                     "config error: mppt.fuzzy.e_range", id="fuzzy-single-prefix"),
+        pytest.param("supervisor: {p_epsilon_w: 0}", SIMULATE, 1,
+                     "config error: supervisor.p_epsilon_w", id="supervisor-single-prefix"),
+    ])
+    def test_exit_code_and_name(self, yaml_text, argv, code, needle, input_files, capsys):
+        tmp = str(input_files)
+        if yaml_text is not None:
+            (input_files / "case.yaml").write_text(yaml_text.replace("{tmp}", tmp), encoding="utf-8")
+        assert cli.main([arg.replace("{tmp}", tmp) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert needle.replace("{tmp}", tmp) in err
+        assert "Traceback" not in err
+
+
 class TestArgumentErrors:
     def test_unknown_command_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -243,7 +315,7 @@ class TestDeterminismViaSubprocess:
 
 
 class TestGoldenOutput:
-    """Byte-identity pin on the pure kernels.
+    """Byte-identity pin.
 
     1,440 steps through modes 1, 2, 3 and 5 (the lower latch); FLC also
     visits mode 4.
@@ -264,7 +336,7 @@ class TestGoldenOutput:
         proc = subprocess.run(
             [sys.executable, "-m", "pvbatsim", "simulate",
              "--config", str(cfg), "--out", str(out), "--mppt", mppt],
-            capture_output=True, text=True, env={**os.environ, "PVBATSIM_PURE": "1"},
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         csv_bytes = out.read_bytes()

@@ -80,13 +80,8 @@ class TestSample:
         assert profiles.sample(prof, 10.0) == 2.0
         assert profiles.sample(prof, 9.999999) == 1.0
 
-    def test_boundary_error(self):
-        prof = profiles.TimeSeriesProfile((0.0, 10.0), (1.0, 2.0), "load_w", "step", "error")
-        with pytest.raises(ProfileError):
-            profiles.sample(prof, -1.0)
-
     def test_boundary_hold(self):
-        prof = profiles.TimeSeriesProfile((0.0, 10.0), (1.0, 2.0), "load_w", "step", "hold")
+        prof = profiles.TimeSeriesProfile((0.0, 10.0), (1.0, 2.0), "load_w", "step")
         assert profiles.sample(prof, -5.0) == 1.0
         assert profiles.sample(prof, 15.0) == 2.0
 
