@@ -25,6 +25,10 @@ EXIT_INVARIANT = 3
 #: Environment variable consulted when --config is not given.
 CONFIG_ENV_VAR = "PVBATSIM_CONFIG"
 
+#: Largest ``iv-curve --g`` [W/m2]: 1,000 suns. The diode solve stalls from
+#: about 2e7 W/m2; up to this bound it converges from -60 to 200 degC.
+IV_G_MAX = 1e6
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; the CLI contract says 1."""
@@ -69,8 +73,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_iv_curve(args):
-    if not (math.isfinite(args.g) and args.g >= 0):
-        print("iv-curve: --g must be a finite number >= 0", file=sys.stderr)
+    if not 0 <= args.g <= IV_G_MAX:
+        print(f"iv-curve: --g must be a number in [0, {IV_G_MAX:g}] W/m2", file=sys.stderr)
         return EXIT_CONFIG
     if not (math.isfinite(args.t) and args.t > -273.15):
         print("iv-curve: --t must be a finite temperature above -273.15 degC", file=sys.stderr)

@@ -38,8 +38,6 @@ _DEFAULTS = {
         "c_10_ah": 100.0,
         "n_serial": 24,
         "n_parallel": 1,
-        "r_bat_ohm": 0.002,  # deprecated: validated but ignored, to be removed
-        "e_b_v": 2.0,        # deprecated: validated but ignored, to be removed
         "delta_t_c": 0.0,
         "capacity_coeff": 1.76,
         "discharge_exp": 1.3,
@@ -202,7 +200,8 @@ def _build_synthetic(syn):
         if key == "load_blocks":
             kwargs["load_blocks"] = _load_blocks(value)
         elif key in _SYNTHETIC_KEYS:
-            kwargs[_SYNTHETIC_KEYS[key]] = _number(section, key, value)
+            minimum = 0 if key == "g_peak_wm2" else None
+            kwargs[_SYNTHETIC_KEYS[key]] = _number(section, key, value, minimum=minimum)
         else:
             raise ConfigError(f"unknown config key '{section}.{key}'")
     try:
@@ -219,8 +218,12 @@ def _load_blocks(value):
     for i, block in enumerate(value):
         if not isinstance(block, list) or len(block) != 3:
             raise ConfigError(f"{key}[{i}] must be [start_h, end_h, watts]")
-        blocks.append([_number(f"{key}[{i}]", field, x)
-                       for field, x in zip(("start_h", "end_h", "watts"), block)])
+        start, end, watts = (_number(f"{key}[{i}]", field, x)
+                             for field, x in zip(("start_h", "end_h", "watts"), block))
+        if not 0 <= start < end <= 24:
+            raise ConfigError(f"{key}[{i}] must satisfy 0 <= start_h < end_h <= 24, "
+                              f"got [{start:g}, {end:g}]")
+        blocks.append([start, end, watts])
     return blocks
 
 
@@ -273,8 +276,6 @@ def build_sim_config(data=None, mppt_override=None):
     panel = _build_panel(merged["panel"])
 
     b = merged["battery"]
-    _number("battery", "r_bat_ohm", b["r_bat_ohm"], minimum=0)
-    _number("battery", "e_b_v", b["e_b_v"])
     battery = _construct(
         "battery", bat.BatteryParams,
         c_10=_number("battery", "c_10_ah", b["c_10_ah"], minimum=0, exclusive_min=True),

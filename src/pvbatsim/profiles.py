@@ -46,14 +46,6 @@ class TimeSeriesProfile:
             if k > 0 and t <= self.times[k - 1]:
                 raise ProfileError(f"timestamps must be strictly increasing at index {k}")
 
-    @property
-    def t_start(self):
-        return self.times[0]
-
-    @property
-    def t_end(self):
-        return self.times[-1]
-
 
 def sample(profile, t):
     """Value of ``profile`` at time ``t`` [s], clamped to the end values."""

@@ -97,6 +97,15 @@ class TestIvCurve:
         assert cli.main(["iv-curve", "--g", "-5", "--out", str(tmp_path / "x.csv")]) == 1
         assert cli.main(["iv-curve", "--points", "1", "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_extreme_temperature_finishes(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pvbatsim", "iv-curve", "--t", "1e6", "--points", "5",
+             "--out", str(tmp_path / "hot.csv")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_file_ends_with_newline(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         cli.main(["iv-curve", "--points", "5", "--out", str(out)])
@@ -244,6 +253,14 @@ class TestBadInputs:
                      "config error: profiles.synthetic.load_blocks", id="blocks-not-list"),
         pytest.param("profiles: {synthetic: {load_blocks: [5]}}", SIMULATE, 1,
                      "config error: profiles.synthetic.load_blocks[0]", id="block-not-list"),
+        pytest.param("profiles: {synthetic: {load_blocks: [[6, 0, 500]]}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.load_blocks[0]", id="block-end-before-start"),
+        pytest.param("profiles: {synthetic: {load_blocks: [[-3, 2, 500]]}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.load_blocks[0]", id="block-negative-start"),
+        pytest.param("profiles: {synthetic: {g_peak_wm2: -1}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.g_peak_wm2", id="synthetic-negative-peak"),
+        pytest.param("battery: {r_bat_ohm: 0.002}", SIMULATE, 1,
+                     "config error: unknown config key 'battery.r_bat_ohm'", id="removed-key"),
         pytest.param("profiles: {synthetic: 3}", SIMULATE, 1,
                      "config error: profiles.synthetic", id="synthetic-not-mapping"),
         pytest.param(CSV_LOAD % "5", SIMULATE, 1,
@@ -265,6 +282,7 @@ class TestBadInputs:
                      1, "config error: {tmp}/latin1.yaml", id="config-not-utf8"),
         pytest.param(None, IV_CURVE + ["--g", "nan"], 1, "--g", id="iv-g-nan"),
         pytest.param(None, IV_CURVE + ["--g", "inf"], 1, "--g", id="iv-g-inf"),
+        pytest.param(None, IV_CURVE + ["--g", "1e10"], 1, "--g", id="iv-g-above-max"),
         pytest.param(None, IV_CURVE + ["--t", "nan"], 1, "--t", id="iv-t-nan"),
         pytest.param(None, IV_CURVE + ["--t", "-300"], 1, "--t", id="iv-t-below-zero-k"),
         pytest.param("panel: {preset: [a]}", SIMULATE, 1,

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvbatsim import profiles
 from pvbatsim.errors import ConfigError, ProfileError
@@ -59,6 +61,33 @@ class TestLoadCsv:
         again = profiles.load_csv(out, "load_w")
         assert again.times == prof.times
         assert again.values == prof.values
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def profile_rows(draw):
+    """A quantity and its rows: finite, strictly increasing times, in-range values."""
+    quantity = draw(st.sampled_from(profiles.QUANTITIES))
+    values = FINITE if quantity == "temperature_c" else st.floats(0.0, allow_infinity=False)
+    rows = draw(st.lists(st.tuples(FINITE, values), min_size=1, max_size=30,
+                         unique_by=lambda row: row[0]))
+    return quantity, sorted(rows)
+
+
+class TestCsvRoundTrip:
+    # fixed example sequence and no example database: repeatable, nothing written to disk
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @given(case=profile_rows())
+    def test_write_then_load_is_bit_identical(self, case, tmp_path_factory):
+        quantity, rows = case
+        times, values = (tuple(column) for column in zip(*rows))
+        path = str(tmp_path_factory.mktemp("round_trip") / "profile.csv")
+        profiles.write_csv(profiles.TimeSeriesProfile(times, values, quantity), path)
+        again = profiles.load_csv(path, quantity)
+        assert [t.hex() for t in again.times] == [t.hex() for t in times]
+        assert [v.hex() for v in again.values] == [v.hex() for v in values]
 
 
 class TestSample:

@@ -2,7 +2,8 @@
 
 Derived expectations come from independent oracles built here: outer
 bisection for the open-circuit voltage, discrete sign changes for curve
-shape, direct formula evaluation for the photocurrent law.
+shape, direct formula evaluation for the photocurrent law, a brute-force
+voltage scan for the maximum power point.
 """
 
 import math
@@ -14,6 +15,45 @@ from pvbatsim.errors import DomainError
 
 T_REF = 298.15
 G_REF = 1000.0
+
+
+def brute_force_mpp(g, t_j, params):
+    """Reference maximum power point that does not rely on concavity over [0, Voc].
+
+    Scans [0, Voc] every 0.01 V, then refines the bracket around the best
+    sample by golden-section search; the best sample is kept if the refined
+    point is lower.
+    """
+    v_oc = pv.open_circuit_voltage(g, t_j, params)
+    if v_oc <= 0.0:
+        return 0.0, 0.0
+
+    def power(v):
+        return v * pv.solve_operating_current(v, g, t_j, params)
+
+    n = max(2, int(v_oc / 0.01) + 1)
+    step = v_oc / n
+    best_k, best_p = 0, 0.0
+    for k in range(n + 1):
+        p = power(k * step)
+        if p > best_p:
+            best_k, best_p = k, p
+    lo = max(0.0, (best_k - 1) * step)
+    hi = min(v_oc, (best_k + 1) * step)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    p1, p2 = power(x1), power(x2)
+    while hi - lo > 1e-10 * max(1.0, v_oc):
+        if p1 < p2:
+            lo, x1, p1 = x1, x2, p2
+            x2 = lo + golden * (hi - lo)
+            p2 = power(x2)
+        else:
+            hi, x2, p2 = x2, x1, p1
+            x1 = hi - golden * (hi - lo)
+            p1 = power(x1)
+    v_mpp = 0.5 * (lo + hi)
+    return v_mpp, max(power(v_mpp), best_p)
 
 
 @pytest.fixture
@@ -136,9 +176,16 @@ class TestMppOracle:
         powers = [pv.mpp_oracle(g, T_REF, panel)[1] for g in (1000.0, 800.0, 600.0)]
         assert powers[0] > powers[1] > powers[2]
 
-    def test_resolution_must_be_positive(self, panel):
-        with pytest.raises(DomainError):
-            pv.mpp_oracle(G_REF, T_REF, panel, resolution=0.0)
+    @pytest.mark.parametrize("layout", [(1, 1), (2, 2)], ids=["panel", "array"])
+    @pytest.mark.parametrize("t_c", [-15.0, 25.0, 65.0])
+    @pytest.mark.parametrize("g", [1.0, 50.0, 200.0, 500.0, 800.0, 1000.0, 1200.0])
+    def test_matches_brute_force_scan(self, panel, layout, t_c, g):
+        params = panel.with_layout(*layout)
+        t_j = t_c + 273.15
+        v_ref, p_ref = brute_force_mpp(g, t_j, params)
+        v_mpp, p_mpp = pv.mpp_oracle(g, t_j, params)
+        assert p_mpp == pytest.approx(p_ref, rel=1e-9)
+        assert v_mpp == pytest.approx(v_ref, rel=1e-6)
 
 
 class TestArrayComposition:
