@@ -44,34 +44,40 @@ def solve_diode_current(v, i_ph, i_0, r_s, r_sh, vt, tol=1e-12, max_iter=200):
         f_lo = diode_residual(lo, v, i_ph, i_0, r_s, r_sh, vt)
         extend += 1
 
+    # The loop evaluates diode_residual inline, with the same operations in
+    # the same order, and keeps its exp() for the Newton derivative.
+    exp = math.exp
+    cap = _EXP_CAP
+    rs_vt = r_s / vt
+    rs_rsh = r_s / r_sh
     i = 0.5 * (lo + hi)
-    f = diode_residual(i, v, i_ph, i_0, r_s, r_sh, vt)
+    x = v + r_s * i
+    arg = x / vt
+    e = exp(cap if arg > cap else arg)
+    f = i_ph - i_0 * (e - 1.0) - x / r_sh - i
     iters = 0
     while iters < max_iter:
         iters += 1
         if abs(f) <= tol:
             return i, f, iters
-        if hi - lo > 1e-3:
-            # bisection phase: residual is strictly decreasing in i
-            if f > 0.0:
-                lo = i
-            else:
-                hi = i
+        bisecting = hi - lo > 1e-3
+        # the residual is strictly decreasing in i
+        if f > 0.0:
+            lo = i
+        else:
+            hi = i
+        if bisecting:
             i = 0.5 * (lo + hi)
         else:
             # Newton phase, kept inside the bracket
-            if f > 0.0:
-                lo = i
-            else:
-                hi = i
-            arg = (v + r_s * i) / vt
-            fp = -i_0 * _safe_exp(arg) * (r_s / vt) - r_s / r_sh - 1.0
-            step = f / fp
-            i_new = i - step
+            i_new = i - f / (-i_0 * e * rs_vt - rs_rsh - 1.0)
             if i_new <= lo or i_new >= hi:
                 i_new = 0.5 * (lo + hi)
             i = i_new
-        f = diode_residual(i, v, i_ph, i_0, r_s, r_sh, vt)
+        x = v + r_s * i
+        arg = x / vt
+        e = exp(cap if arg > cap else arg)
+        f = i_ph - i_0 * (e - 1.0) - x / r_sh - i
     return i, f, iters
 
 

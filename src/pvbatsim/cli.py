@@ -7,7 +7,7 @@ characteristic dump), ``mppt-compare`` (paired controller bench) and
 """
 
 import argparse
-import math
+import contextlib
 import os
 import sys
 
@@ -29,6 +29,10 @@ CONFIG_ENV_VAR = "PVBATSIM_CONFIG"
 #: about 2e7 W/m2; up to this bound it converges from -60 to 200 degC.
 IV_G_MAX = 1e6
 
+#: Largest ``iv-curve --t`` [degC]: the top of the range over which the diode
+#: solve and the MPP search are checked to converge.
+IV_T_MAX = 200.0
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; the CLI contract says 1."""
@@ -48,16 +52,24 @@ def _load_config(path, mppt_override=None):
 
 def _cmd_simulate(args):
     config = _load_config(args.config, mppt_override=args.mppt)
-    records, ledger = engine.run(config)
+    ledger = engine.EnergyLedger()
+    # rows stream into a sibling file that replaces --out only once the run
+    # has finished, so a failed run leaves --out and its ledger untouched
+    part = args.out + ".part"
     try:
-        engine.write_records_csv(records, config.mppt_kind, args.out)
+        engine.write_records_csv(engine.steps(config, ledger), config.mppt_kind, part)
+        os.replace(part, args.out)
         engine.write_ledger(ledger, args.out + ".ledger")
     except OSError as exc:
         print(f"simulate: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        # a finished run has already renamed it; a failed run's partial rows are dropped
+        with contextlib.suppress(OSError):
+            os.remove(part)
     closed = ledger.closes()
     print(
-        f"simulate: {len(records)} steps, controller={config.mppt_kind}, "
+        f"simulate: {config.n_steps} steps, controller={config.mppt_kind}, "
         f"e_pv={ledger.e_pv:.2f} Wh, e_load_served={ledger.e_load_served:.2f} Wh, "
         f"ledger closure={ledger.relative_residual():.3e} "
         f"({'ok' if closed else 'FAILED'})"
@@ -76,8 +88,9 @@ def _cmd_iv_curve(args):
     if not 0 <= args.g <= IV_G_MAX:
         print(f"iv-curve: --g must be a number in [0, {IV_G_MAX:g}] W/m2", file=sys.stderr)
         return EXIT_CONFIG
-    if not (math.isfinite(args.t) and args.t > -273.15):
-        print("iv-curve: --t must be a finite temperature above -273.15 degC", file=sys.stderr)
+    if not -273.15 < args.t <= IV_T_MAX:
+        print(f"iv-curve: --t must be a temperature in (-273.15, {IV_T_MAX:g}] degC",
+              file=sys.stderr)
         return EXIT_CONFIG
     if args.points < 2:
         print("iv-curve: --points must be >= 2", file=sys.stderr)

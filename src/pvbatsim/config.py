@@ -182,9 +182,11 @@ def _construct(section, cls, **fields):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+#: ``profiles.synthetic`` key -> (``synthetic_day`` parameter, minimum, maximum).
 _SYNTHETIC_KEYS = {
-    "g_peak_wm2": "g_peak", "t_min_c": "t_min", "t_max_c": "t_max",
-    "sunrise_h": "sunrise_h", "sunset_h": "sunset_h", "temp_lag_h": "temp_lag_h",
+    "g_peak_wm2": ("g_peak", 0, None), "t_min_c": ("t_min", None, None),
+    "t_max_c": ("t_max", None, None), "sunrise_h": ("sunrise_h", 0, 24),
+    "sunset_h": ("sunset_h", 0, 24), "temp_lag_h": ("temp_lag_h", None, None),
 }
 
 _PROFILE_COLUMNS = {"irradiance": "irradiance_wm2", "temperature": "temperature_c",
@@ -196,14 +198,18 @@ def _build_synthetic(syn):
     if not isinstance(syn, dict):
         raise ConfigError(f"{section} must be a mapping")
     kwargs = {}
-    for key, value in syn.items():
+    # the defaults fill in, so the cross-key check below sees both ends
+    for key, value in {**_DEFAULTS["profiles"]["synthetic"], **syn}.items():
         if key == "load_blocks":
             kwargs["load_blocks"] = _load_blocks(value)
         elif key in _SYNTHETIC_KEYS:
-            minimum = 0 if key == "g_peak_wm2" else None
-            kwargs[_SYNTHETIC_KEYS[key]] = _number(section, key, value, minimum=minimum)
+            name, minimum, maximum = _SYNTHETIC_KEYS[key]
+            kwargs[name] = _number(section, key, value, minimum=minimum, maximum=maximum)
         else:
             raise ConfigError(f"unknown config key '{section}.{key}'")
+    if kwargs["t_min"] > kwargs["t_max"]:
+        raise ConfigError(f"{section}.t_min_c must be <= {section}.t_max_c, "
+                          f"got {kwargs['t_min']:g} > {kwargs['t_max']:g}")
     try:
         return synthetic_day(**kwargs)
     except ValueError as exc:

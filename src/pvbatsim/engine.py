@@ -291,36 +291,48 @@ def _check_balance(rec, step_index):
         )
 
 
+def steps(config, ledger):
+    """Yield the run's records one step at a time, accumulating energy into ``ledger``.
+
+    Nothing is kept between records, so a consumer that writes each record
+    as it arrives runs in memory that does not grow with the step count.
+    """
+    state = init_state(config)
+    for k in range(config.n_steps):
+        yield step(config, state, k * config.dt, ledger, k)
+
+
 def run(config):
     """Run the configured simulation; returns ``(records, ledger)``.
 
     Deterministic: the record count is ``floor(t_end / dt)`` and identical
     configs produce identical records.
     """
-    state = init_state(config)
     ledger = EnergyLedger()
-    records = []
-    for k in range(config.n_steps):
-        records.append(step(config, state, k * config.dt, ledger, k))
-    return records, ledger
+    return list(steps(config, ledger)), ledger
+
+
+def csv_row(r, controller):
+    """One record as a canonical CSV line, newline included."""
+    return (
+        f"{r.t!r},{r.g!r},{r.t_amb!r},{r.p_pv!r},{r.p_load_requested!r},"
+        f"{r.p_load_served!r},{r.p_bat!r},{r.soc!r},{r.v_bat!r},{r.v_pv!r},"
+        f"{r.i_pv!r},{r.d!r},{r.mode},{r.k1},{r.k2},{r.k3},"
+        f"{r.p_curtailed!r},{r.clamp_flags},{controller}\n"
+    )
 
 
 def records_to_csv(records, controller):
     """Render records as the canonical CSV text (trailing newline included)."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.t!r},{r.g!r},{r.t_amb!r},{r.p_pv!r},{r.p_load_requested!r},"
-            f"{r.p_load_served!r},{r.p_bat!r},{r.soc!r},{r.v_bat!r},{r.v_pv!r},"
-            f"{r.i_pv!r},{r.d!r},{r.mode},{r.k1},{r.k2},{r.k3},"
-            f"{r.p_curtailed!r},{r.clamp_flags},{controller}"
-        )
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "\n" + "".join(csv_row(r, controller) for r in records)
 
 
 def write_records_csv(records, controller, path):
+    """Write the CSV of any iterable of records, one row as each arrives."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(records_to_csv(records, controller))
+        fh.write(CSV_HEADER + "\n")
+        for r in records:
+            fh.write(csv_row(r, controller))
 
 
 def ledger_to_text(ledger):

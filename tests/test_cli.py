@@ -4,10 +4,12 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from pvbatsim import cli
+from pvbatsim import cli, engine
+from pvbatsim.errors import InvariantViolation
 
 SHORT_CONFIG = """\
 simulation:
@@ -103,7 +105,8 @@ class TestIvCurve:
              "--out", str(tmp_path / "hot.csv")],
             capture_output=True, text=True, timeout=60,
         )
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 1, proc.stderr
+        assert "--t" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_file_ends_with_newline(self, tmp_path, capsys):
@@ -180,6 +183,50 @@ class TestSimulate:
         assert len(text.splitlines()) == 86401
         assert text.endswith("\n")
         assert (tmp_path / "day.csv.ledger").read_text().endswith("\n")
+
+
+class TestSimulateStreaming:
+    """Rows go to disk as the run makes them; only a finished run replaces --out."""
+
+    @staticmethod
+    def simulate_default_day(tmp_path, dt_s):
+        cfg = tmp_path / f"dt{dt_s}.yaml"
+        cfg.write_text(f"simulation:\n  dt_s: {dt_s}\n", encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+
+    def test_peak_memory_does_not_grow_with_steps(self, tmp_path, capsys):
+        self.simulate_default_day(tmp_path, 60)  # imports and first-call caches, untraced
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for dt_s in (60, 15):  # 1,440 and 5,760 steps
+                tracemalloc.reset_peak()
+                self.simulate_default_day(tmp_path, dt_s)
+                peaks[dt_s] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[15] <= peaks[60] + 0.5e6, peaks
+
+    def test_failed_run_leaves_outputs_untouched(self, short_config, tmp_path, capsys,
+                                                 monkeypatch):
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"previous records\n")
+        ledger = tmp_path / "run.csv.ledger"
+        ledger.write_bytes(b"previous ledger\n")
+        real_step = engine.step
+
+        def failing_step(config, state, t, ledger=None, step_index=0):
+            if step_index == 5:
+                raise InvariantViolation("step 5: injected failure")
+            return real_step(config, state, t, ledger, step_index)
+
+        monkeypatch.setattr(engine, "step", failing_step)
+        assert cli.main(["simulate", "--config", short_config, "--out", str(out)]) == 3
+        assert "injected failure" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous records\n"
+        assert ledger.read_bytes() == b"previous ledger\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.ledger",
+                                                              "short.yaml"]
 
 
 class TestMpptCompare:
@@ -261,6 +308,14 @@ class TestBadInputs:
                      "config error: profiles.synthetic.g_peak_wm2", id="synthetic-negative-peak"),
         pytest.param("battery: {r_bat_ohm: 0.002}", SIMULATE, 1,
                      "config error: unknown config key 'battery.r_bat_ohm'", id="removed-key"),
+        pytest.param("profiles: {synthetic: {t_min_c: 40, t_max_c: 10}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.t_min_c", id="synthetic-t-min-above-max"),
+        pytest.param("profiles: {synthetic: {t_min_c: 40}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.t_min_c", id="synthetic-t-min-above-default"),
+        pytest.param("profiles: {synthetic: {sunrise_h: -5, sunset_h: 12}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.sunrise_h", id="synthetic-sunrise-negative"),
+        pytest.param("profiles: {synthetic: {sunrise_h: 6, sunset_h: 30}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.sunset_h", id="synthetic-sunset-past-24"),
         pytest.param("profiles: {synthetic: 3}", SIMULATE, 1,
                      "config error: profiles.synthetic", id="synthetic-not-mapping"),
         pytest.param(CSV_LOAD % "5", SIMULATE, 1,
@@ -285,6 +340,7 @@ class TestBadInputs:
         pytest.param(None, IV_CURVE + ["--g", "1e10"], 1, "--g", id="iv-g-above-max"),
         pytest.param(None, IV_CURVE + ["--t", "nan"], 1, "--t", id="iv-t-nan"),
         pytest.param(None, IV_CURVE + ["--t", "-300"], 1, "--t", id="iv-t-below-zero-k"),
+        pytest.param(None, IV_CURVE + ["--t", "200.5"], 1, "--t", id="iv-t-above-max"),
         pytest.param("panel: {preset: [a]}", SIMULATE, 1,
                      "config error: panel.preset", id="preset-not-string"),
         pytest.param("battery: {c_10_ah: -1}", SIMULATE, 1,

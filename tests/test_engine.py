@@ -1,8 +1,13 @@
 """Engine step/run behavior: composition, balance, determinism, protection."""
 
-import pytest
+import os
+import tempfile
 
-from pvbatsim import battery, engine
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pvbatsim import battery, engine, profiles
 from pvbatsim.config import build_sim_config
 from pvbatsim.errors import ConfigError
 from pvbatsim.profiles import TimeSeriesProfile
@@ -116,6 +121,41 @@ class TestPowerBalance:
             prev_soc, prev_cap = rec.soc, cap
 
 
+@st.composite
+def random_profile(draw, quantity, low, high):
+    """A profile of 1-6 knots at strictly increasing times within about 5 minutes."""
+    gaps = draw(st.lists(st.floats(0.5, 120.0), min_size=1, max_size=6))
+    start = draw(st.floats(0.0, 60.0))
+    times = tuple(start + sum(gaps[:k]) for k in range(len(gaps)))
+    values = tuple(draw(st.floats(low, high)) for _ in times)
+    return TimeSeriesProfile(times, values, quantity)
+
+
+class TestLedgerClosureProperty:
+    @settings(database=None, derandomize=True, deadline=None, max_examples=25)
+    @given(irradiance=random_profile("irradiance_wm2", 0.0, 1200.0),
+           temperature=random_profile("temperature_c", -20.0, 60.0),
+           load=random_profile("load_w", 0.0, 800.0),
+           t_end_s=st.integers(1, 300), mppt=st.sampled_from(["po", "flc"]),
+           initial_soc=st.floats(0.1, 0.95))
+    def test_random_csv_profiles_close(self, irradiance, temperature, load, t_end_s, mppt,
+                                       initial_soc):
+        with tempfile.TemporaryDirectory() as tmp:
+            section = {}
+            for name, prof in (("irradiance", irradiance), ("temperature", temperature),
+                               ("load", load)):
+                path = os.path.join(tmp, f"{name}.csv")
+                profiles.write_csv(prof, path)
+                section[name] = {"csv": path}
+            config = build_sim_config({
+                "simulation": {"t_end_s": t_end_s, "mppt": mppt, "initial_soc": initial_soc},
+                "profiles": section,
+            })
+            records, ledger = engine.run(config)
+        assert len(records) == config.n_steps == t_end_s
+        assert ledger.closes()
+
+
 class TestEfficiencyKnob:
     def test_loss_accounted(self):
         config = make_config(g=1000.0, p_load=100.0, t_end=1800.0, eta=0.9, initial_soc=0.5)
@@ -186,6 +226,13 @@ class TestCsvRendering:
         assert len(lines) == 4
         assert text.endswith("\n")
         assert lines[1].endswith(",flc")
+
+    def test_streamed_file_matches_text(self, tmp_path):
+        config = make_config(g=800.0, t_end=30.0)
+        records, ledger = engine.run(config)
+        path = tmp_path / "run.csv"
+        engine.write_records_csv(engine.steps(config, engine.EnergyLedger()), "po", path)
+        assert path.read_text(encoding="utf-8") == engine.records_to_csv(records, "po")
 
     def test_ledger_text(self):
         config = make_config(t_end=3.0)

@@ -1,6 +1,6 @@
 """Solver contracts of the numeric kernels on random inputs."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvbatsim import _kernels
@@ -40,6 +40,62 @@ class TestDiode:
     @given(i_ph=st.floats(-6.0, 0.0))
     def test_voc_dark_is_zero(self, i_ph):
         assert _pure.open_circuit_voltage(i_ph, I_0, R_SH, VT) == 0.0
+
+
+def reference_solve_diode_current(v, i_ph, i_0, r_s, r_sh, vt, tol=1e-12, max_iter=200):
+    """The diode solve composed from ``diode_residual``: what the kernel inlines."""
+    f0 = _pure.diode_residual(0.0, v, i_ph, i_0, r_s, r_sh, vt)
+    if f0 == 0.0:
+        return 0.0, 0.0, 0
+    lo = -10.0 * i_0
+    hi = i_ph + 1.0
+    f_lo = _pure.diode_residual(lo, v, i_ph, i_0, r_s, r_sh, vt)
+    extend = 0
+    while f_lo < 0.0 and extend < 64:
+        lo = lo * 10.0 - 1.0
+        f_lo = _pure.diode_residual(lo, v, i_ph, i_0, r_s, r_sh, vt)
+        extend += 1
+    i = 0.5 * (lo + hi)
+    f = _pure.diode_residual(i, v, i_ph, i_0, r_s, r_sh, vt)
+    iters = 0
+    while iters < max_iter:
+        iters += 1
+        if abs(f) <= tol:
+            return i, f, iters
+        if hi - lo > 1e-3:
+            if f > 0.0:
+                lo = i
+            else:
+                hi = i
+            i = 0.5 * (lo + hi)
+        else:
+            if f > 0.0:
+                lo = i
+            else:
+                hi = i
+            arg = (v + r_s * i) / vt
+            fp = -i_0 * _pure._safe_exp(arg) * (r_s / vt) - r_s / r_sh - 1.0
+            i_new = i - f / fp
+            if i_new <= lo or i_new >= hi:
+                i_new = 0.5 * (lo + hi)
+            i = i_new
+        f = _pure.diode_residual(i, v, i_ph, i_0, r_s, r_sh, vt)
+    return i, f, iters
+
+
+class TestDiodeMatchesReference:
+    """The inlined solve returns exactly what the composed one does."""
+
+    @deterministic
+    @given(v=st.floats(-5.0, 60.0), g_scale=st.floats(0.0, 1.2),
+           r_s=st.floats(0.01, 0.5), r_sh=st.floats(20.0, 2000.0),
+           vt=st.floats(0.6, 2.5), i_0=st.floats(1e-10, 1e-6))
+    @example(v=0.0, g_scale=0.0, r_s=R_S, r_sh=R_SH, vt=VT, i_0=I_0)   # dark, zero bias
+    @example(v=10.0, g_scale=0.0, r_s=R_S, r_sh=R_SH, vt=VT, i_0=I_0)  # dark, forward bias
+    @example(v=40.0, g_scale=1.0, r_s=R_S, r_sh=R_SH, vt=VT, i_0=I_0)  # far above Voc
+    def test_bit_identical(self, v, g_scale, r_s, r_sh, vt, i_0):
+        args = (v, I_PH * g_scale, i_0, r_s, r_sh, vt)
+        assert _pure.solve_diode_current(*args) == reference_solve_diode_current(*args)
 
 
 def _bank_voltage(p, i, soc):
