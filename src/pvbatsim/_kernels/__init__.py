@@ -8,6 +8,7 @@ from pvbatsim._kernels._pure import (
     battery_current_for_power,
     capacity_ah,
     charge_voltage,
+    diode_residual,
     discharge_voltage,
     open_circuit_voltage,
     solve_diode_current,

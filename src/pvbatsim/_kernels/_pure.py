@@ -30,55 +30,77 @@ def solve_diode_current(v, i_ph, i_0, r_s, r_sh, vt, tol=1e-12, max_iter=200):
     Returns ``(i, residual, iterations)``; the caller checks the residual
     against its contract.
     """
+    # Every residual below is diode_residual written out, with the same
+    # operations in the same order; the loops keep its exp() for the Newton
+    # derivative.
+    exp = math.exp
+    cap = _EXP_CAP
     # exact zero-current solution (dark panel at zero bias) short-circuits
-    f0 = diode_residual(0.0, v, i_ph, i_0, r_s, r_sh, vt)
-    if f0 == 0.0:
+    x = v + r_s * 0.0
+    arg = x / vt
+    if i_ph - i_0 * (exp(cap if arg > cap else arg) - 1.0) - x / r_sh - 0.0 == 0.0:
         return 0.0, 0.0, 0
     lo = -10.0 * i_0
     hi = i_ph + 1.0
-    f_lo = diode_residual(lo, v, i_ph, i_0, r_s, r_sh, vt)
+    x = v + r_s * lo
+    arg = x / vt
+    f_lo = i_ph - i_0 * (exp(cap if arg > cap else arg) - 1.0) - x / r_sh - lo
     # v above open-circuit pushes the root negative; widen downward.
     extend = 0
     while f_lo < 0.0 and extend < 64:
         lo = lo * 10.0 - 1.0
-        f_lo = diode_residual(lo, v, i_ph, i_0, r_s, r_sh, vt)
+        x = v + r_s * lo
+        arg = x / vt
+        f_lo = i_ph - i_0 * (exp(cap if arg > cap else arg) - 1.0) - x / r_sh - lo
         extend += 1
 
-    # The loop evaluates diode_residual inline, with the same operations in
-    # the same order, and keeps its exp() for the Newton derivative.
-    exp = math.exp
-    cap = _EXP_CAP
-    rs_vt = r_s / vt
-    rs_rsh = r_s / r_sh
     i = 0.5 * (lo + hi)
     x = v + r_s * i
     arg = x / vt
     e = exp(cap if arg > cap else arg)
     f = i_ph - i_0 * (e - 1.0) - x / r_sh - i
     iters = 0
+    # Bisection while the bracket is wider than 1e-3 A. The bracket only
+    # shrinks, so once it is that narrow every later iteration is Newton.
     while iters < max_iter:
         iters += 1
-        if abs(f) <= tol:
+        if -tol <= f <= tol:
             return i, f, iters
-        bisecting = hi - lo > 1e-3
+        if not hi - lo > 1e-3:
+            break
         # the residual is strictly decreasing in i
         if f > 0.0:
             lo = i
         else:
             hi = i
-        if bisecting:
-            i = 0.5 * (lo + hi)
-        else:
-            # Newton phase, kept inside the bracket
-            i_new = i - f / (-i_0 * e * rs_vt - rs_rsh - 1.0)
-            if i_new <= lo or i_new >= hi:
-                i_new = 0.5 * (lo + hi)
-            i = i_new
+        i = 0.5 * (lo + hi)
         x = v + r_s * i
         arg = x / vt
         e = exp(cap if arg > cap else arg)
         f = i_ph - i_0 * (e - 1.0) - x / r_sh - i
-    return i, f, iters
+    else:
+        return i, f, iters
+    # Newton, kept inside the bracket; this iteration is already counted.
+    rs_vt = r_s / vt
+    rs_rsh = r_s / r_sh
+    while True:
+        if f > 0.0:
+            lo = i
+        else:
+            hi = i
+        i_new = i - f / (-i_0 * e * rs_vt - rs_rsh - 1.0)
+        if i_new <= lo or i_new >= hi:
+            i_new = 0.5 * (lo + hi)
+        i = i_new
+        x = v + r_s * i
+        arg = x / vt
+        e = exp(cap if arg > cap else arg)
+        f = i_ph - i_0 * (e - 1.0) - x / r_sh - i
+        if iters >= max_iter:
+            return i, f, iters
+        iters += 1
+        if -tol <= f <= tol:
+            return i, f, iters
 
 
 def open_circuit_voltage(i_ph, i_0, r_sh, vt, tol=1e-12, max_iter=200):
@@ -155,13 +177,23 @@ def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
     if p == 0.0:
         return 0.0, 0.0, 0
     tol = tol_rel * max(1.0, abs(p))
-    discharging = p > 0.0
+    # The voltage law of discharge_voltage or charge_voltage, written out as
+    # ocv + n * (i/c10 * (k / (1 + i**ex) + soc_term + c) * temp): the terms
+    # that do not depend on the current are computed once. Discharge uses
+    # n = -n_serial, and ocv + (-n_serial) * sag equals ocv - n_serial * sag
+    # bit for bit.
+    if p > 0.0:
+        ocv = n_serial * (1.965 + 0.12 * soc)
+        n, k, ex, c = -n_serial, 4.0, discharge_exp, 0.02
+        soc_term = 0.27 / soc**1.5
+        temp = 1.0 - 0.007 * delta_t
+    else:
+        ocv = n_serial * (2.0 + 0.16 * soc)
+        n, k, ex, c = n_serial, 6.0, 0.86, 0.036
+        soc_term = 0.48 / (1.0 - soc) ** 1.2
+        temp = 1.0 - 0.025 * delta_t
     i = 0.0
-    v = (
-        discharge_voltage(soc, 0.0, c10, delta_t, n_serial, discharge_exp)
-        if discharging
-        else charge_voltage(soc, 0.0, c10, delta_t, n_serial)
-    )
+    v = ocv
     residual = -p
     prev_abs = abs(residual)
     for it in range(1, max_iter + 1):
@@ -170,24 +202,22 @@ def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
             return i, residual, it
         i_next = p / v
         i_str = abs(i_next) / n_parallel
-        v = (
-            discharge_voltage(soc, i_str, c10, delta_t, n_serial, discharge_exp)
-            if discharging
-            else charge_voltage(soc, i_str, c10, delta_t, n_serial)
+        v = ocv if i_str == 0.0 else ocv + n * (
+            (i_str / c10) * (k / (1.0 + i_str**ex) + soc_term + c) * temp
         )
         residual = i_next * v - p
-        if abs(residual) >= prev_abs:
+        r_abs = abs(residual)
+        if r_abs >= prev_abs:
             # overshoot: damp toward the previous iterate
             i_next = 0.5 * (i + i_next)
             i_str = abs(i_next) / n_parallel
-            v = (
-                discharge_voltage(soc, i_str, c10, delta_t, n_serial, discharge_exp)
-                if discharging
-                else charge_voltage(soc, i_str, c10, delta_t, n_serial)
+            v = ocv if i_str == 0.0 else ocv + n * (
+                (i_str / c10) * (k / (1.0 + i_str**ex) + soc_term + c) * temp
             )
             residual = i_next * v - p
-        if abs(residual) <= tol:
+            r_abs = abs(residual)
+        if r_abs <= tol:
             return i_next, residual, it
-        prev_abs = abs(residual)
+        prev_abs = r_abs
         i = i_next
     return i, residual, max_iter

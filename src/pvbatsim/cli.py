@@ -52,6 +52,12 @@ def _load_config(path, mppt_override=None):
 
 def _cmd_simulate(args):
     config = _load_config(args.config, mppt_override=args.mppt)
+    ledger_path = args.out + ".ledger"
+    # a directory in either place would fail only after the whole run
+    for path in (args.out, ledger_path):
+        if os.path.isdir(path):
+            print(f"simulate: cannot write output: {path!r} is a directory", file=sys.stderr)
+            return EXIT_IO
     ledger = engine.EnergyLedger()
     # rows stream into a sibling file that replaces --out only once the run
     # has finished, so a failed run leaves --out and its ledger untouched
@@ -59,7 +65,7 @@ def _cmd_simulate(args):
     try:
         engine.write_records_csv(engine.steps(config, ledger), config.mppt_kind, part)
         os.replace(part, args.out)
-        engine.write_ledger(ledger, args.out + ".ledger")
+        engine.write_ledger(ledger, ledger_path)
     except OSError as exc:
         print(f"simulate: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -40,6 +40,12 @@ FLAG_SOC_CLAMP = 2     # coulomb counter hit an SOC/charge bound
 FLAG_DUTY_LIMIT = 4    # duty cycle sits on a clamp bound
 FLAG_PROTECTIVE = 8    # singularity guard downgraded the mode
 
+#: Mode -> its record columns ``(mode, k1, k2, k3)`` as ints.
+_MODE_COLUMNS = {
+    mode: (int(mode), int(sw.k1), int(sw.k2), int(sw.k3))
+    for mode, sw in sup.SWITCH_TABLE.items()
+}
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -152,6 +158,7 @@ class EngineState:
     mppt: mp.MpptState
     sup: sup.SupervisorState
     v_bus: float
+    mppt_every: int  # SimConfig.mppt_every, worked out once per run
     p_meas: float = 0.0
     v_meas: float = 0.0
     have_meas: bool = False
@@ -163,7 +170,8 @@ def init_state(config):
     mppt_state = mp.MpptState(d=config.d0, delta_d=config.delta_d, d_max=config.d_max)
     sup_state = sup.SupervisorState()
     v_bus = bat.terminal_voltage(battery_state, 0.0, config.battery)
-    return EngineState(bat=battery_state, mppt=mppt_state, sup=sup_state, v_bus=v_bus)
+    return EngineState(bat=battery_state, mppt=mppt_state, sup=sup_state, v_bus=v_bus,
+                       mppt_every=config.mppt_every)
 
 
 def step(config, state, t, ledger=None, step_index=0):
@@ -177,19 +185,22 @@ def step(config, state, t, ledger=None, step_index=0):
     t_amb = sample(config.temperature, t)
     p_load = sample(config.load, t)
     t_j = t_amb + 273.15
+    mppt_state = state.mppt
+    bat_state = state.bat
+    sup_state = state.sup
+    battery = config.battery
+    dt_h = config.dt / 3600.0
 
     state.steps_since_mppt += 1
-    if state.have_meas and state.steps_since_mppt >= config.mppt_every:
+    if state.have_meas and state.steps_since_mppt >= state.mppt_every:
         if config.mppt_kind == "po":
-            mp.po_step(state.p_meas, state.v_meas, state.mppt)
+            mp.po_step(state.p_meas, state.v_meas, mppt_state)
         else:
-            mp.flc_step(state.p_meas, state.v_meas, state.mppt, config.fuzzy)
+            mp.flc_step(state.p_meas, state.v_meas, mppt_state, config.fuzzy)
         state.steps_since_mppt = 0
 
-    d = state.mppt.d
-    flags = 0
-    if d == 0.0 or d == state.mppt.d_max:
-        flags |= FLAG_DUTY_LIMIT
+    d = mppt_state.d
+    flags = FLAG_DUTY_LIMIT if d == 0.0 or d == mppt_state.d_max else 0
     v_cand = pv_port_voltage(state.v_bus, d)
     try:
         point, pv_clamped = pv.operating_point(v_cand, g, t_j, config.panel)
@@ -205,19 +216,19 @@ def step(config, state, t, ledger=None, step_index=0):
     state.v_meas = v_cand
     state.have_meas = True
 
-    sup.select_mode(p_avail, p_load, state.bat.soc, state.sup, config.supervisor)
-    mode = state.sup.mode
+    sup.select_mode(p_avail, p_load, bat_state.soc, sup_state, config.supervisor)
+    mode = sup_state.mode
     p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
 
     try:
         i_bat = (
-            bat.current_for_power(p_bat_set, state.bat, config.battery)
+            bat.current_for_power(p_bat_set, bat_state, battery)
             if p_bat_set != 0.0
             else 0.0
         )
     except SingularityGuardError:
         mode = SupervisorMode.MODE4 if p_bat_set < 0 else SupervisorMode.MODE5
-        state.sup.mode = mode
+        sup_state.mode = mode
         p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
         i_bat = 0.0
         flags |= FLAG_PROTECTIVE
@@ -226,49 +237,33 @@ def step(config, state, t, ledger=None, step_index=0):
             f"step {step_index} (t={t}): battery solve failed: {exc}"
         ) from exc
 
-    v_bat = bat.terminal_voltage(state.bat, i_bat, config.battery)
+    v_bat = bat.terminal_voltage(bat_state, i_bat, battery)
     p_bat = i_bat * v_bat
-    before = state.bat.clamp_events
-    bat.soc_update(state.bat, i_bat, config.dt / 3600.0, config.battery)
-    if state.bat.clamp_events > before:
+    before = bat_state.clamp_events
+    bat.soc_update(bat_state, i_bat, dt_h, battery)
+    if bat_state.clamp_events > before:
         flags |= FLAG_SOC_CLAMP
 
-    switches = sup.switch_states(mode)
-    connected = switches.k1 or switches.k2
-    state.v_bus = v_bat if (switches.k1 or switches.k3) else config.v_bus_nominal
+    mode_column, k1, k2, k3 = _MODE_COLUMNS[mode]
+    connected = k1 or k2
+    state.v_bus = v_bat if (k1 or k3) else config.v_bus_nominal
 
     record = SimRecord(
-        t=t,
-        g=g,
-        t_amb=t_amb,
-        p_pv=p_pv_used,
-        p_load_requested=p_load,
-        p_load_served=p_served,
-        p_bat=p_bat,
-        soc=state.bat.soc,
-        v_bat=v_bat,
-        v_pv=v_cand if connected else 0.0,
-        i_pv=point.i_pv if connected else 0.0,
-        d=d,
-        mode=int(mode),
-        k1=int(switches.k1),
-        k2=int(switches.k2),
-        k3=int(switches.k3),
-        p_curtailed=p_curt,
-        clamp_flags=flags,
+        t, g, t_amb, p_pv_used, p_load, p_served, p_bat, bat_state.soc, v_bat,
+        v_cand if connected else 0.0, point.i_pv if connected else 0.0, d,
+        mode_column, k1, k2, k3, p_curt, flags,
     )
 
     if ledger is not None:
-        h = config.dt / 3600.0
-        ledger.e_pv += (p_port if connected else 0.0) * h
-        ledger.e_load_served += p_served * h
-        ledger.e_load_unserved += (p_load - p_served) * h
+        ledger.e_pv += (p_port if connected else 0.0) * dt_h
+        ledger.e_load_served += p_served * dt_h
+        ledger.e_load_unserved += (p_load - p_served) * dt_h
         if p_bat > 0.0:
-            ledger.e_bat_out += p_bat * h
+            ledger.e_bat_out += p_bat * dt_h
         else:
-            ledger.e_bat_in += -p_bat * h
-        ledger.e_curtailed += p_curt * h
-        ledger.e_loss += ((p_port - p_avail) if connected else 0.0) * h
+            ledger.e_bat_in += -p_bat * dt_h
+        ledger.e_curtailed += p_curt * dt_h
+        ledger.e_loss += ((p_port - p_avail) if connected else 0.0) * dt_h
 
     _check_balance(record, step_index)
     return record

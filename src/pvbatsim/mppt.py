@@ -7,7 +7,6 @@ opposite to the label order (a "positive big" power-slope correction is a
 negative duty increment).
 """
 
-import enum
 from dataclasses import dataclass
 
 from pvbatsim.converter import DEFAULT_D_MAX
@@ -17,18 +16,10 @@ from pvbatsim.errors import DomainError
 #: and the error defaults to zero.
 V_EPSILON = 1e-6
 
-
-class FuzzyLabel(enum.IntEnum):
-    NB = -2
-    NS = -1
-    Z = 0
-    PS = 1
-    PB = 2
-
-
-#: 25-rule base, row = CE label, column = E label, entries as label ints.
-#: The matrix is symmetric in (E, CE) and antisymmetric under sign negation;
-#: both properties are asserted by tests against an independent transcription.
+#: 25-rule base, row = CE label, column = E label, entries as label ints
+#: (NB, NS, Z, PS, PB = -2..2). The matrix is symmetric in (E, CE) and
+#: antisymmetric under sign negation; both properties are asserted by tests
+#: against an independent transcription.
 RULE_TABLE = (
     (-2, -2, -1, -1, 0),
     (-2, -1, -1, 0, 1),
@@ -36,11 +27,6 @@ RULE_TABLE = (
     (-1, 0, 1, 1, 2),
     (0, 1, 1, 2, 2),
 )
-
-
-def rule_output(e_label, ce_label):
-    """Consequent label for crisp antecedents (E, CE)."""
-    return FuzzyLabel(RULE_TABLE[int(ce_label) + 2][int(e_label) + 2])
 
 
 @dataclass(slots=True)
@@ -128,75 +114,61 @@ def po_step(p_now, v_now, state):
     return state
 
 
-def compute_error_signals(p_now, p_prev, v_now, v_prev, e_prev):
-    """Power slope E = dP/dV between samples, and its change CE.
-
-    The slope is set to zero when the voltage moved less than ``V_EPSILON``
-    (the quotient is undefined there and zero is the neutral action).
-    """
-    dv = v_now - v_prev
-    if abs(dv) < V_EPSILON:
-        e = 0.0
-    else:
-        e = (p_now - p_prev) / dv
-    return e, e - e_prev
-
-
-def fuzzify(x, centers):
-    """Memberships of ``x`` in the five triangular sets centered at ``centers``.
+def _fire(x, centers):
+    """Sets of ``x`` among the five triangles at ``centers``: ``(j, mu_j, mu_j+1)``.
 
     The triangles partition unity inside the universe and saturate at the
-    outer labels beyond it.
+    outer labels beyond it, so at most two adjacent sets fire. A zero
+    membership does not fire; NaN fires nothing.
     """
-    mu = [0.0, 0.0, 0.0, 0.0, 0.0]
     if x <= centers[0]:
-        mu[0] = 1.0
-        return tuple(mu)
+        return 0, 1.0, 0.0
     if x >= centers[4]:
-        mu[4] = 1.0
-        return tuple(mu)
+        return 4, 1.0, 0.0
     for j in range(4):
         if x <= centers[j + 1]:
             t = (x - centers[j]) / (centers[j + 1] - centers[j])
-            mu[j] = 1.0 - t
-            mu[j + 1] = t
-            break
-    return tuple(mu)
+            return j, 1.0 - t, t
+    return 0, 0.0, 0.0
 
 
-def infer(mu_e, mu_ce):
-    """Activations of the five output labels: min for AND, max to aggregate."""
+def flc_step(p_now, v_now, state, config):
+    """One fuzzy decision; updates ``state`` in place and returns it.
+
+    The power slope E = dP/dV between samples (zero when the voltage moved
+    less than ``V_EPSILON``: the quotient is undefined there and zero is the
+    neutral action) and its change CE are fuzzified, the rules that fire
+    are combined with min for AND and max to aggregate, and the duty
+    increment is the center of gravity over the singleton output centers
+    (0 when nothing fires).
+    """
+    dv = v_now - state.v_prev
+    if -V_EPSILON < dv < V_EPSILON:
+        e = 0.0
+    else:
+        e = (p_now - state.p_prev) / dv
+    ce = e - state.e_prev
+    je, e_lo, e_hi = _fire(e / config.e_range, config.e_centers)
+    jc, c_lo, c_hi = _fire(ce / config.ce_range, config.ce_centers)
     act = [0.0, 0.0, 0.0, 0.0, 0.0]
-    for ic in range(5):
-        mc = mu_ce[ic]
+    for ic, mc in ((jc, c_lo), (jc + 1, c_hi)):
         if mc == 0.0:
             continue
         row = RULE_TABLE[ic]
-        for ie in range(5):
-            me = mu_e[ie]
+        for ie, me in ((je, e_lo), (je + 1, e_hi)):
             if me == 0.0:
                 continue
             w = mc if mc < me else me
             k = row[ie] + 2
             if w > act[k]:
                 act[k] = w
-    return tuple(act)
-
-
-def defuzzify(activations, centers):
-    """Center of gravity over the singleton output centers; 0 when nothing fires."""
-    total = sum(activations)
-    if total == 0.0:
-        return 0.0
-    return sum(a * c for a, c in zip(activations, centers)) / total
-
-
-def flc_step(p_now, v_now, state, config):
-    """One fuzzy decision (error signals, rule base, duty update); updates ``state`` in place."""
-    e, ce = compute_error_signals(p_now, state.p_prev, v_now, state.v_prev, state.e_prev)
-    mu_e = fuzzify(e / config.e_range, config.e_centers)
-    mu_ce = fuzzify(ce / config.ce_range, config.ce_centers)
-    dd = defuzzify(infer(mu_e, mu_ce), config.out_centers)
+    # plain left-to-right sums in label order: the order fixes the bits of dd
+    a0, a1, a2, a3, a4 = act
+    total = a0 + a1 + a2 + a3 + a4
+    dd = 0.0
+    if total != 0.0:
+        oc = config.out_centers
+        dd = (0.0 + a0 * oc[0] + a1 * oc[1] + a2 * oc[2] + a3 * oc[3] + a4 * oc[4]) / total
     d = state.d + dd
     if d < 0.0:
         d = 0.0

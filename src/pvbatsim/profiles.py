@@ -68,8 +68,12 @@ def load_csv(path, column):
     Load is held step-wise between rows; irradiance and temperature are
     interpolated linearly. Validation failures (missing column, non-monotonic
     time, NaN, negative irradiance/load, unparseable rows) raise
-    :class:`ProfileError` naming the offending row.
+    :class:`ProfileError` naming the offending row. Each row is checked once,
+    as it is read: the profile is built without the sample pass of
+    ``TimeSeriesProfile.__post_init__``, which would repeat these checks.
     """
+    if column not in QUANTITIES:
+        raise ProfileError(f"unknown quantity {column!r}, expected one of {QUANTITIES}")
     times, values = [], []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -97,10 +101,10 @@ def load_csv(path, column):
             values.append(v)
     if not times:
         raise ProfileError(f"{path}: no data rows")
-    return TimeSeriesProfile(
-        times=tuple(times), values=tuple(values), quantity=column,
-        interpolation="step" if column == "load_w" else "linear",
-    )
+    profile = object.__new__(TimeSeriesProfile)
+    profile.__dict__.update(times=tuple(times), values=tuple(values), quantity=column,
+                            interpolation="step" if column == "load_w" else "linear")
+    return profile
 
 
 def write_csv(profile, path):

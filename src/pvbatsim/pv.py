@@ -6,7 +6,7 @@ series/parallel. The implicit current equation is solved by bracketed
 bisection finished with safeguarded Newton.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from pvbatsim import _kernels
 from pvbatsim.errors import ConvergenceError, DomainError
@@ -80,10 +80,6 @@ class PvPanelParams:
         if self.g_ref <= 0:
             raise DomainError("g_ref must be > 0")
 
-    def with_layout(self, n_series, n_parallel):
-        """Same panel, different array layout."""
-        return replace(self, n_panels_series=n_series, n_panels_parallel=n_parallel)
-
     def thermal_voltage(self, t_j):
         """Modified thermal voltage ``a * n_s * k * t_j / q`` of one panel [V]."""
         return self.a * self.n_s * self.k * t_j / self.q
@@ -95,9 +91,9 @@ class PvPanelParams:
         return self.i_0_ref * (t_j / self.t_ref) ** self.i_0_temp_exp
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PvOperatingPoint:
-    """One electrical operating point of the array."""
+    """One electrical operating point of the array: ``(v_pv, i_pv, p_pv)``."""
 
     v_pv: float
     i_pv: float
@@ -117,33 +113,31 @@ GENERIC_80W = PvPanelParams(
 )
 
 
-def photo_current(g, t_j, params):
-    """Panel photocurrent at irradiance ``g`` [W/m2] and temperature ``t_j`` [K].
+def _panel_terms(g, t_j, params):
+    """Photocurrent, saturation current and thermal voltage of one panel.
 
-    Linear in irradiance with a fractional temperature correction:
-    ``i_ph_ref * (g / g_ref) * (1 + k_i * (t_j - t_ref))``. Every PV solve
-    starts here, so this is where ``g`` and ``t_j`` are checked.
+    Every PV solve starts here, so this is where ``g`` and ``t_j`` are
+    checked.
     """
     if g < 0:
         raise DomainError(f"irradiance must be >= 0, got {g}")
     if t_j <= 0:
         raise DomainError(f"junction temperature must be > 0 K, got {t_j}")
-    return params.i_ph_ref * (g / params.g_ref) * (1.0 + params.k_i * (t_j - params.t_ref))
+    i_ph = params.i_ph_ref * (g / params.g_ref) * (1.0 + params.k_i * (t_j - params.t_ref))
+    return i_ph, params.saturation_current(t_j), params.thermal_voltage(t_j)
 
 
-def solve_operating_current(v_pv, g, t_j, params):
-    """Array current at array voltage ``v_pv`` from the implicit diode equation.
+def photo_current(g, t_j, params):
+    """Panel photocurrent at irradiance ``g`` [W/m2] and temperature ``t_j`` [K].
 
-    The residual of the returned current satisfies ``|residual| <= 1e-9`` A at
-    panel level. Raises :class:`ConvergenceError` if the solver cannot reach
-    that tolerance, :class:`DomainError` for negative voltage or irradiance.
+    Linear in irradiance with a fractional temperature correction:
+    ``i_ph_ref * (g / g_ref) * (1 + k_i * (t_j - t_ref))``.
     """
-    if v_pv < 0:
-        raise DomainError(f"array voltage must be >= 0, got {v_pv}")
-    v_panel = v_pv / params.n_panels_series
-    i_ph = photo_current(g, t_j, params)
-    i_0 = params.saturation_current(t_j)
-    vt = params.thermal_voltage(t_j)
+    return _panel_terms(g, t_j, params)[0]
+
+
+def _array_current(v_panel, i_ph, i_0, vt, params):
+    """Solve one panel at ``v_panel`` and scale to the array; checks the residual."""
     i_panel, residual, iters = _kernels.solve_diode_current(
         v_panel, i_ph, i_0, params.r_s, params.r_sh, vt
     )
@@ -156,25 +150,45 @@ def solve_operating_current(v_pv, g, t_j, params):
     return i_panel * params.n_panels_parallel
 
 
+def solve_operating_current(v_pv, g, t_j, params):
+    """Array current at array voltage ``v_pv`` from the implicit diode equation.
+
+    The residual of the returned current satisfies ``|residual| <= 1e-9`` A at
+    panel level. Raises :class:`ConvergenceError` if the solver cannot reach
+    that tolerance, :class:`DomainError` for negative voltage or irradiance.
+    """
+    if v_pv < 0:
+        raise DomainError(f"array voltage must be >= 0, got {v_pv}")
+    i_ph, i_0, vt = _panel_terms(g, t_j, params)
+    return _array_current(v_pv / params.n_panels_series, i_ph, i_0, vt, params)
+
+
 def operating_point(v_pv, g, t_j, params):
     """Solve the array point at ``v_pv`` and apply the blocking-diode clamp.
 
     Returns ``(point, clamped)``. Voltages above open circuit would yield a
     negative current; the series blocking diode prevents reverse flow, so the
-    current is clamped to zero and flagged.
+    current is clamped to zero and flagged. The clamp is decided from the
+    residual at zero current before any solve: the residual falls strictly
+    with current, so below ``-RESIDUAL_TOL`` every root the solve could
+    accept is negative and would be clamped anyway.
     """
-    i_pv = solve_operating_current(v_pv, g, t_j, params)
-    clamped = i_pv < 0.0
-    if clamped:
-        i_pv = 0.0
-    return PvOperatingPoint(v_pv=v_pv, i_pv=i_pv, p_pv=v_pv * i_pv), clamped
+    if v_pv < 0:
+        raise DomainError(f"array voltage must be >= 0, got {v_pv}")
+    i_ph, i_0, vt = _panel_terms(g, t_j, params)
+    v_panel = v_pv / params.n_panels_series
+    f0 = _kernels.diode_residual(0.0, v_panel, i_ph, i_0, params.r_s, params.r_sh, vt)
+    if f0 < -RESIDUAL_TOL:
+        return PvOperatingPoint(v_pv, 0.0, v_pv * 0.0), True
+    i_pv = _array_current(v_panel, i_ph, i_0, vt, params)
+    if i_pv < 0.0:
+        return PvOperatingPoint(v_pv, 0.0, v_pv * 0.0), True
+    return PvOperatingPoint(v_pv, i_pv, v_pv * i_pv), False
 
 
 def open_circuit_voltage(g, t_j, params):
     """Array open-circuit voltage at the given conditions [V]."""
-    i_ph = photo_current(g, t_j, params)
-    i_0 = params.saturation_current(t_j)
-    vt = params.thermal_voltage(t_j)
+    i_ph, i_0, vt = _panel_terms(g, t_j, params)
     v_panel = _kernels.open_circuit_voltage(i_ph, i_0, params.r_sh, vt)
     return v_panel * params.n_panels_series
 
@@ -189,7 +203,7 @@ def iv_sweep(g, t_j, n_points, params):
     for k in range(n_points):
         v = k * step
         i = solve_operating_current(v, g, t_j, params)
-        points.append(PvOperatingPoint(v_pv=v, i_pv=i, p_pv=v * i))
+        points.append(PvOperatingPoint(v, i, v * i))
     return points
 
 

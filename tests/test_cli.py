@@ -182,7 +182,13 @@ class TestSimulate:
         text = out.read_text()
         assert len(text.splitlines()) == 86401
         assert text.endswith("\n")
-        assert (tmp_path / "day.csv.ledger").read_text().endswith("\n")
+        ledger = (tmp_path / "day.csv.ledger").read_bytes()
+        assert ledger.endswith(b"\n")
+        # byte-identity pin of the default day
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5a18b1177bf1edc2ff458fc6fc904ed7767b27f08007712793c6e84f046d3c77")
+        assert hashlib.sha256(ledger).hexdigest() == (
+            "6633012b10f919155d2801b1bc950893d4ce9e31fe499af43b64405bbb91d956")
 
 
 class TestSimulateStreaming:
@@ -225,6 +231,34 @@ class TestSimulateStreaming:
         assert "injected failure" in capsys.readouterr().err
         assert out.read_bytes() == b"previous records\n"
         assert ledger.read_bytes() == b"previous ledger\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.ledger",
+                                                              "short.yaml"]
+
+
+    @pytest.mark.parametrize("directory", ["run.csv", "run.csv.ledger"], ids=["out", "ledger"])
+    def test_output_directory_fails_before_step_0(self, directory, short_config, tmp_path,
+                                                  capsys, monkeypatch):
+        out = tmp_path / "run.csv"
+        ledger = tmp_path / "run.csv.ledger"
+        for path in (out, ledger):
+            if path.name == directory:
+                path.mkdir()
+            else:
+                path.write_bytes(b"previous " + path.name.encode() + b"\n")
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("engine.step called")
+
+        monkeypatch.setattr(engine, "step", no_step)
+        assert cli.main(["simulate", "--config", short_config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / directory) in err
+        assert "Traceback" not in err
+        for path in (out, ledger):
+            if path.name == directory:
+                assert path.is_dir() and not any(path.iterdir())
+            else:
+                assert path.read_bytes() == b"previous " + path.name.encode() + b"\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.ledger",
                                                               "short.yaml"]
 

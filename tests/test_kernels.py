@@ -105,6 +105,60 @@ def _bank_voltage(p, i, soc):
     return _pure.charge_voltage(soc, i_str, C10, 0.0, N_SERIAL)
 
 
+def reference_battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
+                                        discharge_exp, tol_rel=1e-9, max_iter=60):
+    """The fixed point composed from the voltage laws: what the kernel inlines."""
+    if p == 0.0:
+        return 0.0, 0.0, 0
+    tol = tol_rel * max(1.0, abs(p))
+    discharging = p > 0.0
+
+    def voltage(i_str):
+        if discharging:
+            return _pure.discharge_voltage(soc, i_str, c10, delta_t, n_serial, discharge_exp)
+        return _pure.charge_voltage(soc, i_str, c10, delta_t, n_serial)
+
+    i = 0.0
+    v = voltage(0.0)
+    residual = -p
+    prev_abs = abs(residual)
+    for it in range(1, max_iter + 1):
+        if v <= 0.0:
+            return i, residual, it
+        i_next = p / v
+        v = voltage(abs(i_next) / n_parallel)
+        residual = i_next * v - p
+        if abs(residual) >= prev_abs:
+            i_next = 0.5 * (i + i_next)
+            v = voltage(abs(i_next) / n_parallel)
+            residual = i_next * v - p
+        if abs(residual) <= tol:
+            return i_next, residual, it
+        prev_abs = abs(residual)
+        i = i_next
+    return i, residual, max_iter
+
+
+class TestBatteryMatchesReference:
+    """The inlined fixed point returns exactly what the composed one does."""
+
+    @deterministic
+    @given(p=st.floats(-6000.0, 6000.0), soc=st.floats(0.006, 0.994),
+           c10=st.floats(20.0, 500.0), delta_t=st.floats(-20.0, 20.0),
+           n_serial=st.sampled_from([6, 12, 24, 48]), n_parallel=st.sampled_from([1, 2, 3]),
+           discharge_exp=st.sampled_from([1.3, 1.8]))
+    @example(p=250.0, soc=0.6, c10=C10, delta_t=0.0, n_serial=24, n_parallel=1,
+             discharge_exp=EXP)
+    @example(p=5000.0, soc=0.15, c10=C10, delta_t=0.0, n_serial=24, n_parallel=1,
+             discharge_exp=EXP)  # stalls: beyond the deliverable maximum
+    @example(p=-5e-324, soc=0.5, c10=C10, delta_t=0.0, n_serial=24, n_parallel=1,
+             discharge_exp=EXP)  # the current underflows to zero
+    def test_bit_identical(self, p, soc, c10, delta_t, n_serial, n_parallel, discharge_exp):
+        args = (p, soc, c10, delta_t, n_serial, n_parallel, discharge_exp)
+        assert (_pure.battery_current_for_power(*args)
+                == reference_battery_current_for_power(*args))
+
+
 class TestBatteryFixedPoint:
     @deterministic
     @given(soc=st.floats(0.1, 0.9), frac=st.floats(0.0, 1.0))

@@ -1,10 +1,13 @@
 """MPPT controller tests: rule base, fuzzy pipeline, tracking behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pvbatsim import engine, mppt, pv
-from pvbatsim.mppt import FuzzyLabel as L
 
 # Independent transcription of the 25-rule base (row = CE, column = E,
 # both ordered NB, NS, Z, PS, PB).
@@ -16,12 +19,97 @@ RULES = {
     ("PB", "NB"): "Z", ("PB", "NS"): "PS", ("PB", "Z"): "PS", ("PB", "PS"): "PB", ("PB", "PB"): "PB",
 }
 LABELS = ("NB", "NS", "Z", "PS", "PB")
+L = {name: k - 2 for k, name in enumerate(LABELS)}
+
+
+def rule_output(e_label, ce_label):
+    """Consequent label int for the antecedent label ints (E, CE)."""
+    return mppt.RULE_TABLE[ce_label + 2][e_label + 2]
+
+
+# The fuzzy controller as separate stages: the reference composition that
+# mppt.flc_step fuses and must reproduce bit for bit.
+
+def compute_error_signals(p_now, p_prev, v_now, v_prev, e_prev):
+    """Power slope E = dP/dV between samples, and its change CE.
+
+    The slope is set to zero when the voltage moved less than ``V_EPSILON``.
+    """
+    dv = v_now - v_prev
+    if abs(dv) < mppt.V_EPSILON:
+        e = 0.0
+    else:
+        e = (p_now - p_prev) / dv
+    return e, e - e_prev
+
+
+def fuzzify(x, centers):
+    """Memberships of ``x`` in the five triangular sets centered at ``centers``."""
+    mu = [0.0, 0.0, 0.0, 0.0, 0.0]
+    if x <= centers[0]:
+        mu[0] = 1.0
+        return tuple(mu)
+    if x >= centers[4]:
+        mu[4] = 1.0
+        return tuple(mu)
+    for j in range(4):
+        if x <= centers[j + 1]:
+            t = (x - centers[j]) / (centers[j + 1] - centers[j])
+            mu[j] = 1.0 - t
+            mu[j + 1] = t
+            break
+    return tuple(mu)
+
+
+def infer(mu_e, mu_ce):
+    """Activations of the five output labels: min for AND, max to aggregate."""
+    act = [0.0, 0.0, 0.0, 0.0, 0.0]
+    for ic in range(5):
+        mc = mu_ce[ic]
+        if mc == 0.0:
+            continue
+        row = mppt.RULE_TABLE[ic]
+        for ie in range(5):
+            me = mu_e[ie]
+            if me == 0.0:
+                continue
+            w = mc if mc < me else me
+            k = row[ie] + 2
+            if w > act[k]:
+                act[k] = w
+    return tuple(act)
+
+
+def defuzzify(activations, centers):
+    """Center of gravity over the singleton output centers; 0 when nothing fires."""
+    total = sum(activations)
+    if total == 0.0:
+        return 0.0
+    return sum(a * c for a, c in zip(activations, centers)) / total
+
+
+def reference_flc_step(p_now, v_now, state, config):
+    """flc_step composed from the stages above."""
+    e, ce = compute_error_signals(p_now, state.p_prev, v_now, state.v_prev, state.e_prev)
+    mu_e = fuzzify(e / config.e_range, config.e_centers)
+    mu_ce = fuzzify(ce / config.ce_range, config.ce_centers)
+    dd = defuzzify(infer(mu_e, mu_ce), config.out_centers)
+    d = state.d + dd
+    if d < 0.0:
+        d = 0.0
+    elif d > state.d_max:
+        d = state.d_max
+    state.p_prev = p_now
+    state.v_prev = v_now
+    state.e_prev = e
+    state.d = d
+    return state
 
 
 class TestRuleTable:
     def test_matches_transcription_cell_for_cell(self):
         for (ce, e), out in RULES.items():
-            assert mppt.rule_output(L[e], L[ce]) == L[out]
+            assert rule_output(L[e], L[ce]) == L[out]
 
     def test_symmetric_in_e_and_ce(self):
         for i in range(5):
@@ -34,23 +122,23 @@ class TestRuleTable:
                 assert mppt.RULE_TABLE[4 - i][4 - j] == -mppt.RULE_TABLE[i][j]
 
     def test_corner_cells(self):
-        assert mppt.rule_output(L.NB, L.NB) == L.NB
-        assert mppt.rule_output(L.PB, L.NB) == L.Z
+        assert rule_output(L["NB"], L["NB"]) == L["NB"]
+        assert rule_output(L["PB"], L["NB"]) == L["Z"]
 
 
 class TestErrorSignals:
     def test_zero_power_change(self):
-        e, ce = mppt.compute_error_signals(100.0, 100.0, 40.0, 35.0, 3.0)
+        e, ce = compute_error_signals(100.0, 100.0, 40.0, 35.0, 3.0)
         assert e == 0.0
         assert ce == -3.0
 
     def test_slope_example(self):
-        e, ce = mppt.compute_error_signals(110.0, 100.0, 41.0, 40.0, 0.0)
+        e, ce = compute_error_signals(110.0, 100.0, 41.0, 40.0, 0.0)
         assert e == pytest.approx(10.0)
         assert ce == pytest.approx(10.0)
 
     def test_voltage_guard(self):
-        e, ce = mppt.compute_error_signals(120.0, 100.0, 40.0, 40.0, 5.0)
+        e, ce = compute_error_signals(120.0, 100.0, 40.0, 40.0, 5.0)
         assert e == 0.0
         assert ce == -5.0
 
@@ -59,36 +147,36 @@ class TestFuzzify:
     CENTERS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
     def test_center_of_z(self):
-        assert mppt.fuzzify(0.0, self.CENTERS) == (0.0, 0.0, 1.0, 0.0, 0.0)
+        assert fuzzify(0.0, self.CENTERS) == (0.0, 0.0, 1.0, 0.0, 0.0)
 
     def test_crossover_midpoint(self):
-        mu = mppt.fuzzify(0.25, self.CENTERS)
+        mu = fuzzify(0.25, self.CENTERS)
         assert mu[2] == pytest.approx(0.5)
         assert mu[3] == pytest.approx(0.5)
 
     def test_saturation_beyond_pb(self):
-        assert mppt.fuzzify(3.0, self.CENTERS) == (0.0, 0.0, 0.0, 0.0, 1.0)
-        assert mppt.fuzzify(-3.0, self.CENTERS) == (1.0, 0.0, 0.0, 0.0, 0.0)
+        assert fuzzify(3.0, self.CENTERS) == (0.0, 0.0, 0.0, 0.0, 1.0)
+        assert fuzzify(-3.0, self.CENTERS) == (1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_partition_of_unity(self):
         rng = np.random.RandomState(31)
         for x in rng.uniform(-1.0, 1.0, size=200):
-            assert sum(mppt.fuzzify(x, self.CENTERS)) == pytest.approx(1.0)
+            assert sum(fuzzify(x, self.CENTERS)) == pytest.approx(1.0)
 
 
 class TestInfer:
     def test_two_active_rules(self):
         mu_e = (0.0, 0.5, 0.5, 0.0, 0.0)  # NS and Z
         mu_ce = (0.0, 0.0, 1.0, 0.0, 0.0)  # Z only
-        act = mppt.infer(mu_e, mu_ce)
+        act = infer(mu_e, mu_ce)
         # rules (E=NS, CE=Z) -> NS and (E=Z, CE=Z) -> Z
         assert act == (0.0, 0.5, 0.5, 0.0, 0.0)
 
     def test_crisp_corners(self):
         nb = (1.0, 0.0, 0.0, 0.0, 0.0)
         pb = (0.0, 0.0, 0.0, 0.0, 1.0)
-        assert mppt.infer(nb, nb)[0] == 1.0  # output NB fully active
-        act = mppt.infer(pb, nb)  # E=PB, CE=NB -> Z
+        assert infer(nb, nb)[0] == 1.0  # output NB fully active
+        act = infer(pb, nb)  # E=PB, CE=NB -> Z
         assert act[2] == 1.0
         assert sum(act) == 1.0
 
@@ -97,19 +185,53 @@ class TestDefuzzify:
     CENTERS = (-0.01, -0.005, 0.0, 0.005, 0.01)
 
     def test_symmetric_activations(self):
-        assert mppt.defuzzify((0.0, 0.5, 0.0, 0.5, 0.0), self.CENTERS) == 0.0
+        assert defuzzify((0.0, 0.5, 0.0, 0.5, 0.0), self.CENTERS) == 0.0
 
     def test_single_label(self):
-        assert mppt.defuzzify((0.0, 0.0, 0.0, 0.0, 1.0), self.CENTERS) == 0.01
+        assert defuzzify((0.0, 0.0, 0.0, 0.0, 1.0), self.CENTERS) == 0.01
 
     def test_two_term_mean(self):
         c = 0.006
         centers = (-2 * c, -c, 0.0, c, 2 * c)
-        out = mppt.defuzzify((0.0, 0.5, 0.5, 0.0, 0.0), centers)
+        out = defuzzify((0.0, 0.5, 0.5, 0.0, 0.0), centers)
         assert out == pytest.approx(-c / 2)
 
     def test_nothing_fires(self):
-        assert mppt.defuzzify((0.0,) * 5, self.CENTERS) == 0.0
+        assert defuzzify((0.0,) * 5, self.CENTERS) == 0.0
+
+
+# fixed example sequence and no example database: repeatable, nothing written to disk
+deterministic = settings(database=None, derandomize=True, deadline=None, max_examples=400)
+
+STEP = st.one_of(st.floats(-2e-6, 2e-6), st.floats(-5.0, 5.0))
+
+
+class TestFlcStepMatchesStages:
+    """The fused flc_step leaves exactly the state the staged composition does."""
+
+    @deterministic
+    @given(p_now=st.floats(0.0, 500.0), p_prev=st.floats(0.0, 500.0),
+           v_prev=st.floats(0.0, 60.0), dv=STEP, e_prev=st.floats(-300.0, 300.0),
+           d=st.floats(0.0, 0.95), e_range=st.floats(0.5, 100.0),
+           ce_range=st.floats(0.5, 100.0), outer=st.floats(0.1, 2.0),
+           inner=st.floats(0.05, 0.95), dd_range=st.floats(1e-4, 0.1))
+    @example(p_now=120.0, p_prev=100.0, v_prev=30.0, dv=1.0, e_prev=0.0, d=0.4,
+             e_range=40.0, ce_range=40.0, outer=1.0, inner=0.5, dd_range=0.01)  # on PS centers
+    @example(p_now=300.0, p_prev=300.0, v_prev=35.0, dv=0.0, e_prev=0.0, d=0.3,
+             e_range=40.0, ce_range=40.0, outer=1.0, inner=0.5, dd_range=0.01)  # on Z
+    @example(p_now=500.0, p_prev=0.0, v_prev=10.0, dv=0.5, e_prev=-300.0, d=0.0,
+             e_range=0.5, ce_range=0.5, outer=1.0, inner=0.5, dd_range=0.1)  # saturated, duty floor
+    def test_bit_identical(self, p_now, p_prev, v_prev, dv, e_prev, d, e_range, ce_range,
+                           outer, inner, dd_range):
+        centers = (-outer, -inner * outer, 0.0, inner * outer, outer)
+        config = mppt.FuzzyConfig(e_range=e_range, ce_range=ce_range, dd_range=dd_range,
+                                  e_centers=centers, ce_centers=centers)
+        fused, staged = (mppt.MpptState(p_prev=p_prev, v_prev=v_prev, e_prev=e_prev, d=d)
+                         for _ in range(2))
+        v_now = v_prev + dv
+        mppt.flc_step(p_now, v_now, fused, config)
+        reference_flc_step(p_now, v_now, staged, config)
+        assert fused == staged
 
 
 class TestPoStep:
@@ -140,7 +262,7 @@ class TestPoStep:
 
 @pytest.fixture(scope="module")
 def bench_panel():
-    return pv.GENERIC_80W.with_layout(2, 2)
+    return replace(pv.GENERIC_80W, n_panels_series=2, n_panels_parallel=2)
 
 
 @pytest.fixture(scope="module")

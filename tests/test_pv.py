@@ -7,14 +7,22 @@ voltage scan for the maximum power point.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pvbatsim import pv
+from pvbatsim import _kernels, pv
 from pvbatsim.errors import DomainError
 
 T_REF = 298.15
 G_REF = 1000.0
+
+
+def layout(params, n_series, n_parallel):
+    """Same panel, different array layout."""
+    return replace(params, n_panels_series=n_series, n_panels_parallel=n_parallel)
 
 
 def brute_force_mpp(g, t_j, params):
@@ -63,7 +71,7 @@ def panel():
 
 @pytest.fixture
 def array(panel):
-    return panel.with_layout(2, 2)
+    return layout(panel, 2, 2)
 
 
 class TestPhotoCurrent:
@@ -176,11 +184,11 @@ class TestMppOracle:
         powers = [pv.mpp_oracle(g, T_REF, panel)[1] for g in (1000.0, 800.0, 600.0)]
         assert powers[0] > powers[1] > powers[2]
 
-    @pytest.mark.parametrize("layout", [(1, 1), (2, 2)], ids=["panel", "array"])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2)], ids=["panel", "array"])
     @pytest.mark.parametrize("t_c", [-15.0, 25.0, 65.0])
     @pytest.mark.parametrize("g", [1.0, 50.0, 200.0, 500.0, 800.0, 1000.0, 1200.0])
-    def test_matches_brute_force_scan(self, panel, layout, t_c, g):
-        params = panel.with_layout(*layout)
+    def test_matches_brute_force_scan(self, panel, shape, t_c, g):
+        params = layout(panel, *shape)
         t_j = t_c + 273.15
         v_ref, p_ref = brute_force_mpp(g, t_j, params)
         v_mpp, p_mpp = pv.mpp_oracle(g, t_j, params)
@@ -190,16 +198,16 @@ class TestMppOracle:
 
 class TestArrayComposition:
     def test_parallel_doubles_current(self, panel):
-        single = panel.with_layout(1, 1)
-        double = panel.with_layout(1, 2)
+        single = layout(panel, 1, 1)
+        double = layout(panel, 1, 2)
         for v in (0.0, 5.0, 12.0, 17.0):
             i1 = pv.solve_operating_current(v, G_REF, T_REF, single)
             i2 = pv.solve_operating_current(v, G_REF, T_REF, double)
             assert i2 == pytest.approx(2.0 * i1, rel=1e-12)
 
     def test_series_doubles_voc(self, panel):
-        v1 = pv.open_circuit_voltage(G_REF, T_REF, panel.with_layout(1, 1))
-        v2 = pv.open_circuit_voltage(G_REF, T_REF, panel.with_layout(2, 1))
+        v1 = pv.open_circuit_voltage(G_REF, T_REF, layout(panel, 1, 1))
+        v2 = pv.open_circuit_voltage(G_REF, T_REF, layout(panel, 2, 1))
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
     def test_array_power_scales(self, array, panel):
@@ -208,7 +216,86 @@ class TestArrayComposition:
         assert p4 == pytest.approx(4.0 * p1, rel=1e-9)
 
 
+def solve_then_clamp(v_pv, g, t_j, params):
+    """The clamp decided from a full solve: what operating_point must return."""
+    i_pv = pv.solve_operating_current(v_pv, g, t_j, params)
+    clamped = i_pv < 0.0
+    if clamped:
+        i_pv = 0.0
+    return pv.PvOperatingPoint(v_pv, i_pv, v_pv * i_pv), clamped
+
+
+def zero_current_residual(v_pv, g, t_j, params):
+    return _kernels.diode_residual(
+        0.0, v_pv / params.n_panels_series, pv.photo_current(g, t_j, params),
+        params.saturation_current(t_j), params.r_s, params.r_sh, params.thermal_voltage(t_j),
+    )
+
+
+@pytest.fixture
+def diode_calls(monkeypatch):
+    """Counts the calls that reach the diode kernel."""
+    calls = []
+    solve = _kernels.solve_diode_current
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(_kernels, "solve_diode_current", counting)
+    return calls
+
+
+# fixed example sequence and no example database: repeatable, nothing written to disk
+deterministic = settings(database=None, derandomize=True, deadline=None, max_examples=300)
+
+
 class TestBlockingDiodeClamp:
+    @deterministic
+    @given(shape=st.sampled_from([(1, 1), (2, 2)]), g=st.floats(0.0, 1200.0),
+           t_c=st.floats(-15.0, 65.0), frac=st.floats(0.0, 3.0))
+    @example(shape=(1, 1), g=0.0, t_c=25.0, frac=0.0)   # dark panel at zero bias
+    @example(shape=(2, 2), g=0.0, t_c=25.0, frac=0.5)   # dark panel, forward bias
+    @example(shape=(2, 2), g=1200.0, t_c=-15.0, frac=3.0)
+    def test_matches_solve_then_clamp(self, shape, g, t_c, frac):
+        # voltages up to 3x the open-circuit voltage of the brightest panel
+        params = layout(pv.GENERIC_80W, *shape)
+        t_j = t_c + 273.15
+        v_pv = frac * pv.open_circuit_voltage(1200.0, t_j, params)
+        assert pv.operating_point(v_pv, g, t_j, params) == solve_then_clamp(v_pv, g, t_j, params)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2)], ids=["panel", "array"])
+    @pytest.mark.parametrize("g,t_c", [(1.0, -15.0), (500.0, 25.0), (1200.0, 65.0)])
+    def test_residual_at_the_tolerance(self, panel, shape, g, t_c, diode_calls):
+        # bisect v onto the last float whose zero-current residual is >= -RESIDUAL_TOL
+        params = layout(panel, *shape)
+        t_j = t_c + 273.15
+        lo, hi = 0.0, 2.0 * pv.open_circuit_voltage(g, t_j, params)
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                mid = math.nextafter(lo, hi)
+            if zero_current_residual(mid, g, t_j, params) >= -pv.RESIDUAL_TOL:
+                lo = mid
+            else:
+                hi = mid
+        below = [math.nextafter(lo, 0.0), lo]  # residual just above -RESIDUAL_TOL
+        above = [hi, math.nextafter(hi, math.inf)]  # residual just below it
+        for v_pv in below + above:
+            diode_calls.clear()
+            point, clamped = pv.operating_point(v_pv, g, t_j, params)
+            assert len(diode_calls) == (1 if v_pv in below else 0)
+            assert clamped  # the root is negative on both sides
+            assert (point, clamped) == solve_then_clamp(v_pv, g, t_j, params)
+
+    def test_clamped_point_skips_the_kernel(self, panel, diode_calls):
+        v_oc = pv.open_circuit_voltage(G_REF, T_REF, panel)
+        diode_calls.clear()
+        assert pv.operating_point(v_oc + 1.0, G_REF, T_REF, panel)[1]
+        assert diode_calls == []
+        assert not pv.operating_point(10.0, G_REF, T_REF, panel)[1]
+        assert len(diode_calls) == 1
+
     def test_above_voc_clamps_to_zero(self, panel):
         v_oc = pv.open_circuit_voltage(G_REF, T_REF, panel)
         point, clamped = pv.operating_point(v_oc + 1.0, G_REF, T_REF, panel)
@@ -227,8 +314,6 @@ class TestSaturationCurrentLaw:
         assert panel.saturation_current(T_REF + 40.0) == panel.i_0_ref
 
     def test_optional_temperature_exponent(self, panel):
-        from dataclasses import replace
-
         hot = replace(panel, i_0_temp_exp=3.0)
         assert hot.saturation_current(T_REF) == panel.i_0_ref
         assert hot.saturation_current(T_REF + 40.0) > panel.i_0_ref
