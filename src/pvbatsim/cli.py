@@ -50,14 +50,24 @@ def _load_config(path, mppt_override=None):
     return build_sim_config(data, mppt_override=mppt_override)
 
 
+def _names_directory(command, paths):
+    """Report the first output path that is a directory; True if there is one.
+
+    Checked before the run, since writing to a directory would fail only
+    after the whole run.
+    """
+    for path in paths:
+        if os.path.isdir(path):
+            print(f"{command}: cannot write output: {path!r} is a directory", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_simulate(args):
     config = _load_config(args.config, mppt_override=args.mppt)
     ledger_path = args.out + ".ledger"
-    # a directory in either place would fail only after the whole run
-    for path in (args.out, ledger_path):
-        if os.path.isdir(path):
-            print(f"simulate: cannot write output: {path!r} is a directory", file=sys.stderr)
-            return EXIT_IO
+    if _names_directory("simulate", (args.out, ledger_path)):
+        return EXIT_IO
     ledger = engine.EnergyLedger()
     # rows stream into a sibling file that replaces --out only once the run
     # has finished, so a failed run leaves --out and its ledger untouched
@@ -131,7 +141,9 @@ def _segments(samples):
 
 def _cmd_mppt_compare(args):
     config = _load_config(args.config)
-    n_steps = max(2, int(config.t_end / config.t_mppt))
+    if _names_directory("mppt-compare", (args.out,)):
+        return EXIT_IO
+    n_steps = max(2, engine.step_count(config.t_end, config.t_mppt))
     times = [k * config.t_mppt for k in range(n_steps)]
     conditions = [
         (sample(config.irradiance, t), sample(config.temperature, t)) for t in times

@@ -47,6 +47,15 @@ _MODE_COLUMNS = {
 }
 
 
+def step_count(t_end, dt):
+    """Steps of length ``dt`` in ``t_end``: the floor of the quotient.
+
+    The 1e-9 allowance absorbs the rounding of the division, so that a
+    1.2 s run of 0.1 s steps has 12 steps although 1.2 / 0.1 < 12.
+    """
+    return int(math.floor(t_end / dt + 1e-9))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one run needs. Build from YAML via :mod:`pvbatsim.config`."""
@@ -87,7 +96,7 @@ class SimConfig:
 
     @property
     def n_steps(self):
-        return int(math.floor(self.t_end / self.dt + 1e-9))
+        return step_count(self.t_end, self.dt)
 
     @property
     def mppt_every(self):
@@ -354,7 +363,15 @@ def run_tracking(kind, panel, g, t_c, n_steps, v_bus, d0=0.4, delta_d=0.005,
     The bus is held at ``v_bus``; ``g`` (W/m2) and ``t_c`` (Celsius) may each
     be a constant or a sequence of per-step values. Returns a list of
     ``(d, v, p)`` samples, one per controller step.
+
+    A settled controller revisits a few port voltages over and over, so
+    while ``(g, t_c)`` holds, each distinct voltage is solved once and its
+    power reused: ``pv.operating_point`` is pure, so the samples are the
+    ones a solve at every step would give. The memo is emptied whenever the
+    conditions change, which bounds it by the voltages of one plateau.
     """
+    if kind not in ("po", "flc"):
+        raise ConfigError(f"unknown controller kind {kind!r}")
     if fuzzy is None:
         fuzzy = mp.FuzzyConfig()
     state = mp.MpptState(d=d0, delta_d=delta_d, d_max=d_max)
@@ -362,18 +379,31 @@ def run_tracking(kind, panel, g, t_c, n_steps, v_bus, d0=0.4, delta_d=0.005,
     t_seq = [t_c] * n_steps if isinstance(t_c, (int, float)) else list(t_c)
     if len(g_seq) != n_steps or len(t_seq) != n_steps:
         raise ConfigError("condition sequence length must equal n_steps")
+    po = kind == "po"
     out = []
-    for k in range(n_steps):
-        v = pv_port_voltage(v_bus, state.d)
-        point, _ = pv.operating_point(v, g_seq[k], t_seq[k] + 273.15, panel)
-        p = eta * point.p_pv
-        out.append((state.d, v, p))
-        if kind == "po":
-            mp.po_step(p, v, state)
-        elif kind == "flc":
-            mp.flc_step(p, v, state, fuzzy)
+    powers = {}  # port voltage -> eta * p_pv at (g_now, t_now)
+    g_now = t_now = t_j = None
+    for g, t_c in zip(g_seq, t_seq):
+        d = state.d
+        v = pv_port_voltage(v_bus, d)
+        # g = -0.0 and g = 0.0 count as one condition: the solve returns the
+        # same point for both
+        if g == g_now and t_c == t_now:
+            p = powers.get(v)
         else:
-            raise ConfigError(f"unknown controller kind {kind!r}")
+            powers = {}
+            g_now = g
+            t_now = t_c
+            t_j = t_c + 273.15
+            p = None
+        if p is None:
+            point, _ = pv.operating_point(v, g, t_j, panel)
+            p = powers[v] = eta * point.p_pv
+        out.append((d, v, p))
+        if po:
+            mp.po_step(p, v, state)
+        else:
+            mp.flc_step(p, v, state, fuzzy)
     return out
 
 

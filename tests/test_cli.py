@@ -303,6 +303,45 @@ class TestMpptCompare:
         assert seg_lines[1].count("eff=") == 2
         assert code in (0, 3)  # ripple ordering is asserted on the constant bench
 
+    def test_two_plateau_bytes_pinned(self, tmp_path, capsys):
+        # recorded with a PV solve at every tracking step
+        cfg = write_csv_profiles(tmp_path, "0,1000\n29.99,1000\n30,600\n60,600\n")
+        out = tmp_path / "step.csv"
+        assert cli.main(["mppt-compare", "--config", cfg, "--out", str(out)]) == 0
+        seg_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("segment")]
+        assert seg_lines == [
+            "segment t=[0.0,29.9]s g=1000 W/m2:  po: eff=0.9998 ripple=0.2097 W"
+            "  flc: eff=1.0000 ripple=0.0001 W",
+            "segment t=[30.0,59.9]s g=600 W/m2:  po: eff=0.9998 ripple=0.1284 W"
+            "  flc: eff=1.0000 ripple=0.0000 W",
+        ]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a14c59ba59d3f7ae5b5b8c5388e49faaacd67a3e69df11eb15f787dd8816b4f5"
+        )
+
+    def test_step_count_floor_rule(self, tmp_path, capsys):
+        # 1.2 / 0.1 rounds to 11.999999999999998; like simulate, count 12 steps
+        cfg = tmp_path / "short.yaml"
+        cfg.write_text("simulation:\n  t_end_s: 1.2\n", encoding="utf-8")
+        out = tmp_path / "short.csv"
+        assert cli.main(["mppt-compare", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 12
+
+    def test_directory_out_exits_before_tracking(self, tmp_path, capsys, monkeypatch):
+        cfg = write_csv_profiles(tmp_path, "0,1000\n60,1000\n")
+        out = tmp_path / "adir"
+        out.mkdir()
+
+        def no_tracking(*args, **kwargs):
+            raise AssertionError("engine.run_tracking called")
+
+        monkeypatch.setattr(engine, "run_tracking", no_tracking)
+        assert cli.main(["mppt-compare", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert "Traceback" not in err
+        assert not any(out.iterdir())
+
 
 SIMULATE = ["simulate", "--config", "{tmp}/case.yaml", "--out", "{tmp}/o.csv"]
 IV_CURVE = ["iv-curve", "--out", "{tmp}/o.csv"]

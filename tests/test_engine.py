@@ -4,10 +4,10 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvbatsim import battery, engine, profiles
+from pvbatsim import battery, engine, mppt, profiles, pv
 from pvbatsim.config import build_sim_config
 from pvbatsim.errors import ConfigError
 from pvbatsim.profiles import TimeSeriesProfile
@@ -255,3 +255,82 @@ class TestTrackingBench:
 
         with pytest.raises(ConfigError):
             engine.run_tracking("newton", pv.GENERIC_80W, 1000.0, 25.0, 10, 48.0)
+
+
+def uncached_tracking(kind, panel, g_seq, t_seq, v_bus, d0=0.4, delta_d=0.005, eta=1.0):
+    """Reference bench: one PV solve at every step, as ``run_tracking`` did before its memo."""
+    fuzzy = mppt.FuzzyConfig()
+    state = mppt.MpptState(d=d0, delta_d=delta_d)
+    out = []
+    for g, t_c in zip(g_seq, t_seq):
+        v = (1.0 - state.d) * v_bus
+        point, _ = pv.operating_point(v, g, t_c + 273.15, panel)
+        p = eta * point.p_pv
+        out.append((state.d, v, p))
+        if kind == "po":
+            mppt.po_step(p, v, state)
+        else:
+            mppt.flc_step(p, v, state, fuzzy)
+    return out
+
+
+#: The array of acceptance criterion 3's 500-step bench.
+TRACK_PANEL = build_sim_config().panel
+
+CONDITION = st.tuples(
+    st.sampled_from([0.0, -0.0, 150.0, 600.0, 1000.0]) | st.floats(0.0, 1200.0),
+    st.sampled_from([-0.0, 0.0, 25.0]) | st.floats(-20.0, 60.0),
+)
+
+
+class TestTrackingMemo:
+    """``run_tracking`` solves each port voltage once per plateau and matches the uncached loop."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=150)
+    @given(
+        kind=st.sampled_from(["po", "flc"]),
+        plateaus=st.lists(st.tuples(CONDITION, st.integers(1, 40)), min_size=1, max_size=8),
+        eta=st.floats(0.1, 1.0),
+        d0=st.floats(0.0, 0.95),
+        v_bus=st.floats(20.0, 60.0),
+    )
+    # single-step plateaus, a dark plateau, and g = -0.0 next to 0.0
+    @example(kind="po", plateaus=[((1000.0, 25.0), 1), ((600.0, 25.0), 1), ((0.0, 25.0), 3),
+                                  ((-0.0, 25.0), 2), ((0.0, -0.0), 1), ((800.0, 30.0), 40)],
+             eta=0.9, d0=0.4, v_bus=48.0)
+    # a return to earlier conditions after a different plateau
+    @example(kind="flc", plateaus=[((1000.0, 25.0), 40), ((600.0, 40.0), 40),
+                                   ((1000.0, 25.0), 40)],
+             eta=0.95, d0=0.4, v_bus=48.0)
+    def test_matches_uncached_loop(self, kind, plateaus, eta, d0, v_bus):
+        g = [c[0] for c, n in plateaus for _ in range(n)]
+        t_c = [c[1] for c, n in plateaus for _ in range(n)]
+        got = engine.run_tracking(kind, TRACK_PANEL, g, t_c, len(g), v_bus, d0=d0, eta=eta)
+        assert got == uncached_tracking(kind, TRACK_PANEL, g, t_c, v_bus, d0=d0, eta=eta)
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Port voltages handed to ``pv.operating_point``, in call order."""
+        voltages = []
+        solve = pv.operating_point
+
+        def counting(v, g, t_j, params):
+            voltages.append(v)
+            return solve(v, g, t_j, params)
+
+        monkeypatch.setattr(pv, "operating_point", counting)
+        return voltages
+
+    @pytest.mark.parametrize("kind", ["po", "flc"])
+    def test_one_solve_per_distinct_voltage(self, kind, solved):
+        samples = engine.run_tracking(kind, TRACK_PANEL, 1000.0, 25.0, 500, 48.0)
+        visited = {v for _, v, _ in samples}
+        assert sorted(solved) == sorted(visited)
+
+    def test_duties_on_one_voltage_share_a_solve(self, solved):
+        # P&O steps far below the resolution of the port voltage: four duty
+        # values land on three voltages
+        samples = engine.run_tracking("po", TRACK_PANEL, 1000.0, 25.0, 20, 48.0, delta_d=6e-17)
+        visited = {v for _, v, _ in samples}
+        assert len({d for d, _, _ in samples}) > len(visited)
+        assert sorted(solved) == sorted(visited)
