@@ -10,6 +10,15 @@ import math
 # far outside the physical operating range.
 _EXP_CAP = 600.0
 
+#: Residual tolerance [A] and iteration budget of the diode and
+#: open-circuit solves.
+DIODE_TOL = 1e-12
+DIODE_MAX_ITER = 200
+
+#: Relative power tolerance and iteration budget of the battery fixed point.
+BATTERY_TOL_REL = 1e-9
+BATTERY_MAX_ITER = 60
+
 
 def _safe_exp(x):
     if x > _EXP_CAP:
@@ -23,7 +32,7 @@ def diode_residual(i, v, i_ph, i_0, r_s, r_sh, vt):
     return i_ph - i_0 * (_safe_exp(arg) - 1.0) - (v + r_s * i) / r_sh - i
 
 
-def solve_diode_current(v, i_ph, i_0, r_s, r_sh, vt, tol=1e-12, max_iter=200):
+def solve_diode_current(v, i_ph, i_0, r_s, r_sh, vt):
     """Solve the implicit diode equation for the panel current at voltage ``v``.
 
     Bracketed bisection narrows to 1e-3 A, then safeguarded Newton finishes.
@@ -35,6 +44,8 @@ def solve_diode_current(v, i_ph, i_0, r_s, r_sh, vt, tol=1e-12, max_iter=200):
     # derivative.
     exp = math.exp
     cap = _EXP_CAP
+    tol = DIODE_TOL
+    max_iter = DIODE_MAX_ITER
     # exact zero-current solution (dark panel at zero bias) short-circuits
     x = v + r_s * 0.0
     arg = x / vt
@@ -103,16 +114,16 @@ def solve_diode_current(v, i_ph, i_0, r_s, r_sh, vt, tol=1e-12, max_iter=200):
             return i, f, iters
 
 
-def open_circuit_voltage(i_ph, i_0, r_sh, vt, tol=1e-12, max_iter=200):
+def open_circuit_voltage(i_ph, i_0, r_sh, vt):
     """Panel open-circuit voltage: zero of ``i_ph - i_0*(exp(v/vt)-1) - v/r_sh``."""
     if i_ph <= 0.0:
         return 0.0
     lo = 0.0
     hi = vt * math.log(i_ph / i_0 + 1.0) + 1.0
     v = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(DIODE_MAX_ITER):
         f = i_ph - i_0 * (_safe_exp(v / vt) - 1.0) - v / r_sh
-        if abs(f) <= tol:
+        if abs(f) <= DIODE_TOL:
             return v
         if hi - lo > 1e-6:
             if f > 0.0:
@@ -167,7 +178,7 @@ def charge_voltage(soc, i_a, c10, delta_t, n_serial):
 
 
 def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
-                              discharge_exp, tol_rel=1e-9, max_iter=60):
+                              discharge_exp):
     """Solve the bank current delivering power ``p`` (positive = discharge).
 
     The terminal voltage depends on the current, so ``i = p / v(i)`` is
@@ -176,7 +187,7 @@ def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
     """
     if p == 0.0:
         return 0.0, 0.0, 0
-    tol = tol_rel * max(1.0, abs(p))
+    tol = BATTERY_TOL_REL * max(1.0, abs(p))
     # The voltage law of discharge_voltage or charge_voltage, written out as
     # ocv + n * (i/c10 * (k / (1 + i**ex) + soc_term + c) * temp): the terms
     # that do not depend on the current are computed once. Discharge uses
@@ -196,7 +207,7 @@ def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
     v = ocv
     residual = -p
     prev_abs = abs(residual)
-    for it in range(1, max_iter + 1):
+    for it in range(1, BATTERY_MAX_ITER + 1):
         if v <= 0.0:
             # voltage collapsed: the setpoint exceeds deliverable power
             return i, residual, it
@@ -220,4 +231,4 @@ def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
             return i_next, residual, it
         prev_abs = r_abs
         i = i_next
-    return i, residual, max_iter
+    return i, residual, BATTERY_MAX_ITER

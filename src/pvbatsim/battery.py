@@ -70,9 +70,9 @@ class BatteryState:
             raise DomainError("q must be >= 0")
 
 
-def state_for_soc(soc, params, i_bat=0.0):
-    """Initial state holding ``soc``, with ``q`` consistent with the capacity at ``i_bat``."""
-    cap = bank_capacity(abs(i_bat), params)
+def state_for_soc(soc, params):
+    """Initial state holding ``soc``, with ``q`` consistent with the capacity at rest."""
+    cap = bank_capacity(0.0, params)
     return BatteryState(soc=soc, q=(1.0 - soc) * cap, mode_flag="idle")
 
 

@@ -12,6 +12,7 @@ import os
 import sys
 
 from pvbatsim import engine, pv
+from pvbatsim import mppt as mp
 from pvbatsim.config import build_sim_config, default_config, load_config_file
 from pvbatsim.errors import ConfigError, InvariantViolation, PvbatsimError
 from pvbatsim.profiles import sample
@@ -63,26 +64,35 @@ def _names_directory(command, paths):
     return False
 
 
+@contextlib.contextmanager
+def _replaced_when_done(out):
+    """Yield ``<out>.part`` to stream rows into; it replaces ``out`` only if the block ends.
+
+    A run that fails part way leaves ``out`` as it was and drops its rows.
+    """
+    part = out + ".part"
+    try:
+        yield part
+        os.replace(part, out)
+    finally:
+        # a finished run has already renamed it
+        with contextlib.suppress(OSError):
+            os.remove(part)
+
+
 def _cmd_simulate(args):
     config = _load_config(args.config, mppt_override=args.mppt)
     ledger_path = args.out + ".ledger"
     if _names_directory("simulate", (args.out, ledger_path)):
         return EXIT_IO
     ledger = engine.EnergyLedger()
-    # rows stream into a sibling file that replaces --out only once the run
-    # has finished, so a failed run leaves --out and its ledger untouched
-    part = args.out + ".part"
     try:
-        engine.write_records_csv(engine.steps(config, ledger), config.mppt_kind, part)
-        os.replace(part, args.out)
+        with _replaced_when_done(args.out) as part:
+            engine.write_records_csv(engine.steps(config, ledger), config.mppt_kind, part)
         engine.write_ledger(ledger, ledger_path)
     except OSError as exc:
         print(f"simulate: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        # a finished run has already renamed it; a failed run's partial rows are dropped
-        with contextlib.suppress(OSError):
-            os.remove(part)
     closed = ledger.closes()
     print(
         f"simulate: {config.n_steps} steps, controller={config.mppt_kind}, "
@@ -128,15 +138,54 @@ def _cmd_iv_curve(args):
     return EXIT_OK
 
 
-def _segments(samples):
-    """Maximal runs of identical (g, t) pairs: list of (start, end) indexes."""
-    spans = []
-    start = 0
-    for k in range(1, len(samples) + 1):
-        if k == len(samples) or samples[k] != samples[start]:
-            spans.append((start, k))
-            start = k
-    return spans
+def _plateaus(config, n_steps):
+    """Yield ``(start, conditions)`` for each run of steps whose ``(g, t_c)`` equal its first's.
+
+    ``==`` puts ``g = -0.0`` in a run of ``0.0``; each step keeps its own sample.
+    """
+    start, conditions = 0, []
+    for k in range(n_steps):
+        t = k * config.t_mppt
+        now = (sample(config.irradiance, t), sample(config.temperature, t))
+        if conditions and now != conditions[0]:
+            yield start, conditions
+            start, conditions = k, []
+        conditions.append(now)
+    yield start, conditions
+
+
+def _compare_plateaus(config, n_steps, fh):
+    """Run both controllers plateau by plateau, each on one carried state.
+
+    Writes each plateau's rows and prints its ``segment`` line as it closes.
+    Returns the ripples on the last plateau, None where it had no PV power.
+    """
+    states = {kind: mp.MpptState(d=config.d0, delta_d=config.delta_d, d_max=config.d_max)
+              for kind in ("po", "flc")}
+    fh.write("t_s,g_wm2,t_c,d_po,v_po,p_po,d_flc,v_flc,p_flc\n")
+    for start, conditions in _plateaus(config, n_steps):
+        g, t_c = conditions[0]
+        runs = {kind: engine.run_tracking(kind, config.panel, g, t_c, len(conditions),
+                                          config.v_bus_nominal, state, config.fuzzy, config.eta)
+                for kind, state in states.items()}
+        rows = zip(conditions, runs["po"], runs["flc"])
+        for k, ((g_k, t_k), (d_po, v_po, p_po), (d_f, v_f, p_f)) in enumerate(rows, start):
+            fh.write(f"{k * config.t_mppt!r},{g_k!r},{t_k!r},{d_po!r},{v_po!r},{p_po!r},"
+                     f"{d_f!r},{v_f!r},{p_f!r}\n")
+        _, p_mpp = pv.mpp_oracle(g, t_c + 273.15, config.panel)
+        p_mpp *= config.eta
+        end = (start + len(conditions) - 1) * config.t_mppt
+        line = f"segment t=[{start * config.t_mppt:.1f},{end:.1f}]s g={g:g} W/m2:"
+        last_ripple = {}
+        for kind, samples in runs.items():
+            mean, ripple = engine.steady_stats(samples)
+            if p_mpp > 0.0:
+                line += f"  {kind}: eff={mean / p_mpp:.4f} ripple={ripple:.4f} W"
+            else:
+                line += f"  {kind}: eff=n/a ripple=n/a"
+            last_ripple[kind] = ripple if p_mpp > 0.0 else None
+        print(line)
+    return last_ripple
 
 
 def _cmd_mppt_compare(args):
@@ -144,56 +193,15 @@ def _cmd_mppt_compare(args):
     if _names_directory("mppt-compare", (args.out,)):
         return EXIT_IO
     n_steps = max(2, engine.step_count(config.t_end, config.t_mppt))
-    times = [k * config.t_mppt for k in range(n_steps)]
-    conditions = [
-        (sample(config.irradiance, t), sample(config.temperature, t)) for t in times
-    ]
-    v_bus = config.v_bus_nominal
-    runs = {}
-    for kind in ("po", "flc"):
-        runs[kind] = engine.run_tracking(
-            kind,
-            config.panel,
-            [g for g, _ in conditions],
-            [t_c for _, t_c in conditions],
-            n_steps,
-            v_bus,
-            d0=config.d0,
-            delta_d=config.delta_d,
-            fuzzy=config.fuzzy,
-            d_max=config.d_max,
-            eta=config.eta,
-        )
-
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t_s,g_wm2,t_c,d_po,v_po,p_po,d_flc,v_flc,p_flc\n")
-            for k, t in enumerate(times):
-                g, t_c = conditions[k]
-                d_po, v_po, p_po = runs["po"][k]
-                d_f, v_f, p_f = runs["flc"][k]
-                fh.write(
-                    f"{t!r},{g!r},{t_c!r},{d_po!r},{v_po!r},{p_po!r},"
-                    f"{d_f!r},{v_f!r},{p_f!r}\n"
-                )
+        with (
+            _replaced_when_done(args.out) as part,
+            open(part, "w", encoding="utf-8", newline="\n") as fh,
+        ):
+            last_ripple = _compare_plateaus(config, n_steps, fh)
     except OSError as exc:
         print(f"mppt-compare: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    last_ripple = {}
-    for start, end in _segments(conditions):
-        g, t_c = conditions[start]
-        _, p_mpp = pv.mpp_oracle(g, t_c + 273.15, config.panel)
-        p_mpp *= config.eta
-        line = f"segment t=[{times[start]:.1f},{times[end - 1]:.1f}]s g={g:g} W/m2:"
-        for kind in ("po", "flc"):
-            mean, ripple = engine.steady_stats(runs[kind][start:end])
-            if p_mpp > 0.0:
-                line += f"  {kind}: eff={mean / p_mpp:.4f} ripple={ripple:.4f} W"
-            else:
-                line += f"  {kind}: eff=n/a ripple=n/a"
-            last_ripple[kind] = ripple if p_mpp > 0.0 else None
-        print(line)
 
     if last_ripple["po"] is None:
         print("mppt-compare: no PV power in final segment, comparison n/a")

@@ -155,8 +155,8 @@ class EnergyLedger:
     def relative_residual(self):
         return abs(self.residual()) / max(1.0, self.e_pv + self.e_bat_out)
 
-    def closes(self, tol=BALANCE_TOL):
-        return self.relative_residual() <= tol
+    def closes(self):
+        return self.relative_residual() <= BALANCE_TOL
 
 
 @dataclass
@@ -356,46 +356,33 @@ def write_ledger(ledger, path):
         fh.write(ledger_to_text(ledger))
 
 
-def run_tracking(kind, panel, g, t_c, n_steps, v_bus, d0=0.4, delta_d=0.005,
-                 fuzzy=None, d_max=0.95, eta=1.0):
+def run_tracking(kind, panel, g, t_c, n_steps, v_bus, state=None, fuzzy=None, eta=1.0):
     """Desk-scale MPPT bench: one controller against a static curve.
 
-    The bus is held at ``v_bus``; ``g`` (W/m2) and ``t_c`` (Celsius) may each
-    be a constant or a sequence of per-step values. Returns a list of
-    ``(d, v, p)`` samples, one per controller step.
+    The bus is held at ``v_bus`` and the conditions at ``g`` (W/m2) and
+    ``t_c`` (Celsius). ``state`` (a fresh ``MpptState`` if omitted) is
+    updated in place, so a run over several plateaus carries one state from
+    call to call. Returns ``n_steps`` samples ``(d, v, p)``.
 
     A settled controller revisits a few port voltages over and over, so
-    while ``(g, t_c)`` holds, each distinct voltage is solved once and its
-    power reused: ``pv.operating_point`` is pure, so the samples are the
-    ones a solve at every step would give. The memo is emptied whenever the
-    conditions change, which bounds it by the voltages of one plateau.
+    each distinct voltage is solved once and its power reused:
+    ``pv.operating_point`` is pure, so the samples are the ones a solve at
+    every step would give.
     """
     if kind not in ("po", "flc"):
         raise ConfigError(f"unknown controller kind {kind!r}")
+    if state is None:
+        state = mp.MpptState()
     if fuzzy is None:
         fuzzy = mp.FuzzyConfig()
-    state = mp.MpptState(d=d0, delta_d=delta_d, d_max=d_max)
-    g_seq = [g] * n_steps if isinstance(g, (int, float)) else list(g)
-    t_seq = [t_c] * n_steps if isinstance(t_c, (int, float)) else list(t_c)
-    if len(g_seq) != n_steps or len(t_seq) != n_steps:
-        raise ConfigError("condition sequence length must equal n_steps")
     po = kind == "po"
+    t_j = t_c + 273.15
     out = []
-    powers = {}  # port voltage -> eta * p_pv at (g_now, t_now)
-    g_now = t_now = t_j = None
-    for g, t_c in zip(g_seq, t_seq):
+    powers = {}  # port voltage -> eta * p_pv
+    for _ in range(n_steps):
         d = state.d
         v = pv_port_voltage(v_bus, d)
-        # g = -0.0 and g = 0.0 count as one condition: the solve returns the
-        # same point for both
-        if g == g_now and t_c == t_now:
-            p = powers.get(v)
-        else:
-            powers = {}
-            g_now = g
-            t_now = t_c
-            t_j = t_c + 273.15
-            p = None
+        p = powers.get(v)
         if p is None:
             point, _ = pv.operating_point(v, g, t_j, panel)
             p = powers[v] = eta * point.p_pv
@@ -407,9 +394,9 @@ def run_tracking(kind, panel, g, t_c, n_steps, v_bus, d0=0.4, delta_d=0.005,
     return out
 
 
-def steady_stats(samples, fraction=0.4):
-    """Mean power and peak-to-peak power ripple over the trailing window."""
+def steady_stats(samples):
+    """Mean power and peak-to-peak power ripple over the trailing 40 % of ``samples``."""
     n = len(samples)
-    window = [p for _, _, p in samples[int(n * (1.0 - fraction)):]]
+    window = [p for _, _, p in samples[int(n * 0.6):]]
     mean = sum(window) / len(window)
     return mean, max(window) - min(window)

@@ -15,6 +15,9 @@ QUANTITIES = ("irradiance_wm2", "temperature_c", "load_w")
 #: Quantities that must be non-negative.
 _NON_NEGATIVE = ("irradiance_wm2", "load_w")
 
+#: Knot spacing of the synthetic day's irradiance and temperature [s].
+SYNTHETIC_KNOT_S = 60.0
+
 
 @dataclass(frozen=True)
 class TimeSeriesProfile:
@@ -116,7 +119,7 @@ def write_csv(profile, path):
 
 
 def synthetic_day(g_peak=1000.0, t_min=15.0, t_max=35.0, load_blocks=None,
-                  sunrise_h=6.0, sunset_h=18.0, temp_lag_h=1.0, knot_s=60.0):
+                  sunrise_h=6.0, sunset_h=18.0, temp_lag_h=1.0):
     """Synthesize one day: half-sine irradiance, lagged temperature, block load.
 
     Irradiance is a half sine between sunrise and sunset peaking at ``g_peak``
@@ -158,7 +161,7 @@ def synthetic_day(g_peak=1000.0, t_min=15.0, t_max=35.0, load_blocks=None,
         times.append(t)
         g_values.append(g_peak * irr_shape(t))
         temp_values.append(t_min + (t_max - t_min) * temp_scale * irr_shape(t, lag=temp_lag_h * 3600.0))
-        t += knot_s
+        t += SYNTHETIC_KNOT_S
     times.append(day_s)
     g_values.append(g_peak * irr_shape(day_s))
     temp_values.append(t_min + (t_max - t_min) * temp_scale * irr_shape(day_s, lag=temp_lag_h * 3600.0))

@@ -61,8 +61,6 @@ class PvPanelParams:
     i_0_temp_exp: float = 0.0
     n_panels_series: int = 1
     n_panels_parallel: int = 1
-    q: float = ELEMENTARY_CHARGE
-    k: float = BOLTZMANN
 
     def __post_init__(self):
         if self.i_ph_ref <= 0:
@@ -82,7 +80,7 @@ class PvPanelParams:
 
     def thermal_voltage(self, t_j):
         """Modified thermal voltage ``a * n_s * k * t_j / q`` of one panel [V]."""
-        return self.a * self.n_s * self.k * t_j / self.q
+        return self.a * self.n_s * BOLTZMANN * t_j / ELEMENTARY_CHARGE
 
     def saturation_current(self, t_j):
         """Diode saturation current at junction temperature ``t_j`` [A]."""

@@ -71,19 +71,6 @@ class SupervisorState:
     discharge_blocked: bool = False
 
 
-def update_latches(state, soc, config):
-    """Set/clear the protection latches from the current SOC, in place; returns ``state``."""
-    if soc >= config.soc_max:
-        state.charge_blocked = True
-    elif soc <= config.soc_max_release:
-        state.charge_blocked = False
-    if soc <= config.soc_min:
-        state.discharge_blocked = True
-    elif soc >= config.soc_min_release:
-        state.discharge_blocked = False
-    return state
-
-
 def select_mode(p_pv, p_load, soc, state, config):
     """Pick the operating mode for the current power balance and SOC.
 
@@ -97,7 +84,14 @@ def select_mode(p_pv, p_load, soc, state, config):
         raise DomainError("p_pv and p_load must be >= 0")
     if not 0.0 <= soc <= 1.0:
         raise DomainError("soc must lie in [0, 1]")
-    update_latches(state, soc, config)
+    if soc >= config.soc_max:
+        state.charge_blocked = True
+    elif soc <= config.soc_max_release:
+        state.charge_blocked = False
+    if soc <= config.soc_min:
+        state.discharge_blocked = True
+    elif soc >= config.soc_min_release:
+        state.discharge_blocked = False
     chargeable = not state.charge_blocked
     dischargeable = not state.discharge_blocked
 
@@ -119,30 +113,21 @@ def switch_states(mode):
     return SWITCH_TABLE[mode]
 
 
-def battery_power_setpoint(mode, p_pv, p_load):
-    """Signed battery power implied by the mode (positive = discharge) [W]."""
-    if mode is SupervisorMode.MODE1:
-        return -(p_pv - p_load)
-    if mode is SupervisorMode.MODE2:
-        return p_load - p_pv
-    if mode is SupervisorMode.MODE3:
-        return p_load
-    return 0.0
-
-
 def route_power(mode, p_pv, p_load):
     """Full power routing for the mode: ``(p_bat, p_served, p_curtailed, p_pv_used)``.
 
-    ``p_pv_used`` is the PV power actually entering the system: everything in
-    modes 1/2/4 (with mode 4 curtailing the surplus beyond the load), nothing
-    in modes 3/5 where both PV switches are open and the array idles at open
-    circuit.
+    ``p_bat`` is the signed battery power the mode implies (positive =
+    discharge) [W]. ``p_pv_used`` is the PV power actually entering the
+    system: everything in modes 1/2/4 (with mode 4 curtailing the surplus
+    beyond the load), nothing in modes 3/5 where both PV switches are open
+    and the array idles at open circuit.
     """
-    p_bat = battery_power_setpoint(mode, p_pv, p_load)
-    if mode is SupervisorMode.MODE1 or mode is SupervisorMode.MODE2:
-        return p_bat, p_load, 0.0, p_pv
+    if mode is SupervisorMode.MODE1:
+        return -(p_pv - p_load), p_load, 0.0, p_pv
+    if mode is SupervisorMode.MODE2:
+        return p_load - p_pv, p_load, 0.0, p_pv
     if mode is SupervisorMode.MODE3:
-        return p_bat, p_load, 0.0, 0.0
+        return p_load, p_load, 0.0, 0.0
     if mode is SupervisorMode.MODE4:
         served = p_pv if p_pv < p_load else p_load
         return 0.0, served, p_pv - served, p_pv

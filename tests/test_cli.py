@@ -8,8 +8,8 @@ import tracemalloc
 
 import pytest
 
-from pvbatsim import cli, engine
-from pvbatsim.errors import InvariantViolation
+from pvbatsim import cli, engine, pv
+from pvbatsim.errors import ConvergenceError, InvariantViolation
 
 SHORT_CONFIG = """\
 simulation:
@@ -341,6 +341,77 @@ class TestMpptCompare:
         assert str(out) in err
         assert "Traceback" not in err
         assert not any(out.iterdir())
+
+    def test_missing_directory_exits_before_tracking(self, tmp_path, capsys, monkeypatch):
+        cfg = write_csv_profiles(tmp_path, "0,1000\n60,1000\n")
+        out = tmp_path / "missing" / "cmp.csv"
+
+        def no_tracking(*args, **kwargs):
+            raise AssertionError("engine.run_tracking called")
+
+        monkeypatch.setattr(engine, "run_tracking", no_tracking)
+        assert cli.main(["mppt-compare", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert "Traceback" not in err
+        assert not out.parent.exists()
+
+    def test_failed_run_leaves_out_untouched(self, tmp_path, capsys, monkeypatch):
+        cfg = write_csv_profiles(tmp_path, "0,1000\n29.99,1000\n30,600\n60,600\n")
+        out = tmp_path / "cmp.csv"
+        out.write_bytes(b"previous comparison\n")
+        real_oracle = pv.mpp_oracle
+        calls = []
+
+        def failing_oracle(g, t_j, params):
+            calls.append(g)
+            if len(calls) == 2:
+                raise ConvergenceError("injected oracle failure")
+            return real_oracle(g, t_j, params)
+
+        monkeypatch.setattr(pv, "mpp_oracle", failing_oracle)
+        assert cli.main(["mppt-compare", "--config", cfg, "--out", str(out)]) == 3
+        assert "injected oracle failure" in capsys.readouterr().err
+        assert calls == [1000.0, 600.0]
+        assert out.read_bytes() == b"previous comparison\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cmp.csv", "cmp.yaml", "irr.csv", "load.csv", "temp.csv"]
+
+    def test_signed_zero_plateau_pinned(self, tmp_path, capsys):
+        # the profile reads 0.0 between the knots and -0.0 from t=1 on: one
+        # plateau, but each row keeps the sign its own step sampled
+        cfg = write_csv_profiles(tmp_path, "0,-0\n1,-0\n", t_end=2)
+        out = tmp_path / "zero.csv"
+        assert cli.main(["mppt-compare", "--config", cfg, "--out", str(out)]) == 0
+        seg_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("segment")]
+        assert seg_lines == ["segment t=[0.0,1.9]s g=0 W/m2:  po: eff=n/a ripple=n/a"
+                             "  flc: eff=n/a ripple=n/a"]
+        rows = out.read_text().splitlines()
+        assert rows[10].startswith("0.9,0.0,") and rows[11].startswith("1.0,-0.0,")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "848076050dcea8c63a8d4d9577c792b8332245358f7aeddbb72f4ec5861bcc8b"
+        )
+
+    def test_peak_memory_does_not_grow_with_plateaus(self, tmp_path, capsys):
+        def compare(plateaus):
+            # 30 s plateaus alternating between two irradiances
+            rows = "".join(f"{30 * i},{g}\n{30 * i + 29.99},{g}\n"
+                           for i, g in zip(range(plateaus), [1000, 600] * plateaus))
+            cfg = write_csv_profiles(tmp_path, rows, t_end=30 * plateaus)
+            out = str(tmp_path / "cmp.csv")
+            assert cli.main(["mppt-compare", "--config", cfg, "--out", out]) in (0, 3)
+
+        compare(4)  # imports and first-call caches, untraced
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for plateaus in (4, 16):  # 2,400 and 9,600 tracking steps
+                tracemalloc.reset_peak()
+                compare(plateaus)
+                peaks[plateaus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[16] <= peaks[4] + 0.2e6, peaks
 
 
 SIMULATE = ["simulate", "--config", "{tmp}/case.yaml", "--out", "{tmp}/o.csv"]

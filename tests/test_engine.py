@@ -284,7 +284,7 @@ CONDITION = st.tuples(
 
 
 class TestTrackingMemo:
-    """``run_tracking`` solves each port voltage once per plateau and matches the uncached loop."""
+    """``run_tracking`` solves each port voltage once per call; chained calls match uncached."""
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=150)
     @given(
@@ -303,9 +303,12 @@ class TestTrackingMemo:
                                    ((1000.0, 25.0), 40)],
              eta=0.95, d0=0.4, v_bus=48.0)
     def test_matches_uncached_loop(self, kind, plateaus, eta, d0, v_bus):
+        state = mppt.MpptState(d=d0)
+        got = []
+        for (g, t_c), n in plateaus:
+            got += engine.run_tracking(kind, TRACK_PANEL, g, t_c, n, v_bus, state=state, eta=eta)
         g = [c[0] for c, n in plateaus for _ in range(n)]
         t_c = [c[1] for c, n in plateaus for _ in range(n)]
-        got = engine.run_tracking(kind, TRACK_PANEL, g, t_c, len(g), v_bus, d0=d0, eta=eta)
         assert got == uncached_tracking(kind, TRACK_PANEL, g, t_c, v_bus, d0=d0, eta=eta)
 
     @pytest.fixture
@@ -329,8 +332,16 @@ class TestTrackingMemo:
 
     def test_duties_on_one_voltage_share_a_solve(self, solved):
         # P&O steps far below the resolution of the port voltage: four duty
-        # values land on three voltages
-        samples = engine.run_tracking("po", TRACK_PANEL, 1000.0, 25.0, 20, 48.0, delta_d=6e-17)
+        # values land on three voltages. Each call solves the voltages it
+        # visits once; the carried state continues the walk across calls.
+        state = mppt.MpptState(d=0.4, delta_d=6e-17)
+        samples = []
+        for n in (12, 8):
+            plateau = engine.run_tracking("po", TRACK_PANEL, 1000.0, 25.0, n, 48.0, state=state)
+            assert sorted(solved) == sorted({v for _, v, _ in plateau})
+            solved.clear()
+            samples += plateau
         visited = {v for _, v, _ in samples}
         assert len({d for d, _, _ in samples}) > len(visited)
-        assert sorted(solved) == sorted(visited)
+        assert samples == uncached_tracking("po", TRACK_PANEL, [1000.0] * 20, [25.0] * 20, 48.0,
+                                            delta_d=6e-17)

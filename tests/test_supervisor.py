@@ -75,13 +75,13 @@ class TestSelectMode:
 
 class TestBatteryPowerSetpoint:
     def test_mode1_charges_surplus(self):
-        assert sup.battery_power_setpoint(M.MODE1, 500.0, 200.0) == -300.0
+        assert sup.route_power(M.MODE1, 500.0, 200.0)[0] == -300.0
 
     def test_mode3_carries_load(self):
-        assert sup.battery_power_setpoint(M.MODE3, 0.0, 200.0) == 200.0
+        assert sup.route_power(M.MODE3, 0.0, 200.0)[0] == 200.0
 
     def test_mode5_idle(self):
-        assert sup.battery_power_setpoint(M.MODE5, 0.0, 200.0) == 0.0
+        assert sup.route_power(M.MODE5, 0.0, 200.0)[0] == 0.0
         assert sup.route_power(M.MODE5, 0.0, 200.0)[1] == 0.0
 
     def test_setpoint_consistent_with_switches(self, config):
@@ -93,7 +93,7 @@ class TestBatteryPowerSetpoint:
             soc = rng.uniform(0.0, 1.0)
             state = sup.select_mode(p_pv, p_load, soc, state, config)
             sw = sup.switch_states(state.mode)
-            p_bat = sup.battery_power_setpoint(state.mode, p_pv, p_load)
+            p_bat = sup.route_power(state.mode, p_pv, p_load)[0]
             if p_bat < 0:
                 assert sw.k1  # charging requires the PV->battery path
             if p_bat > 0:
