@@ -8,6 +8,7 @@ characteristic dump), ``mppt-compare`` (paired controller bench) and
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 
@@ -51,48 +52,39 @@ def _load_config(path, mppt_override=None):
     return build_sim_config(data, mppt_override=mppt_override)
 
 
-def _names_directory(command, paths):
-    """Report the first output path that is a directory; True if there is one.
-
-    Checked before the run, since writing to a directory would fail only
-    after the whole run.
-    """
-    for path in paths:
-        if os.path.isdir(path):
-            print(f"{command}: cannot write output: {path!r} is a directory", file=sys.stderr)
-            return True
-    return False
-
-
 @contextlib.contextmanager
-def _replaced_when_done(out):
-    """Yield ``<out>.part`` to stream rows into; it replaces ``out`` only if the block ends.
+def _replaced_when_done(*outs):
+    """Yield one text file per output path; they replace the outputs only if the block ends.
 
-    A run that fails part way leaves ``out`` as it was and drops its rows.
+    Each file is ``<target>.part`` beside the output's resolved target, so an
+    output that is a symlink stays one and its target gets the new bytes. A
+    directory is refused before the block runs, and a block that fails part
+    way leaves every output as it was and no ``.part`` behind.
     """
-    part = out + ".part"
+    targets = [os.path.realpath(out) for out in outs]
+    for out, target in zip(outs, targets):
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, "cannot write output to a directory", out)
+    parts = [target + ".part" for target in targets]
     try:
-        yield part
-        os.replace(part, out)
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(part, "w", encoding="utf-8", newline="\n"))
+                   for part in parts]
+        for part, target in zip(parts, targets):
+            os.replace(part, target)
     finally:
-        # a finished run has already renamed it
-        with contextlib.suppress(OSError):
-            os.remove(part)
+        # a finished block has already renamed them
+        for part in parts:
+            with contextlib.suppress(OSError):
+                os.remove(part)
 
 
 def _cmd_simulate(args):
     config = _load_config(args.config, mppt_override=args.mppt)
-    ledger_path = args.out + ".ledger"
-    if _names_directory("simulate", (args.out, ledger_path)):
-        return EXIT_IO
     ledger = engine.EnergyLedger()
-    try:
-        with _replaced_when_done(args.out) as part:
-            engine.write_records_csv(engine.steps(config, ledger), config.mppt_kind, part)
-        engine.write_ledger(ledger, ledger_path)
-    except OSError as exc:
-        print(f"simulate: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with _replaced_when_done(args.out, args.out + ".ledger") as (rows, totals):
+        engine.write_records_csv(engine.steps(config, ledger), config.mppt_kind, rows)
+        totals.write(engine.ledger_to_text(ledger))
     closed = ledger.closes()
     print(
         f"simulate: {config.n_steps} steps, controller={config.mppt_kind}, "
@@ -123,17 +115,13 @@ def _cmd_iv_curve(args):
         return EXIT_CONFIG
     config = _load_config(args.config)
     t_j = args.t + 273.15
-    points = pv.iv_sweep(args.g, t_j, args.points, config.panel)
-    v_mpp, p_mpp = pv.mpp_oracle(args.g, t_j, config.panel)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("v,i,p\n")
-            for pt in points:
-                fh.write(f"{pt.v_pv!r},{pt.i_pv!r},{pt.p_pv!r}\n")
-            fh.write(f"mpp,{v_mpp!r},{p_mpp!r}\n")
-    except OSError as exc:
-        print(f"iv-curve: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with _replaced_when_done(args.out) as (fh,):
+        points = pv.iv_sweep(args.g, t_j, args.points, config.panel)
+        v_mpp, p_mpp = pv.mpp_oracle(args.g, t_j, config.panel)
+        fh.write("v,i,p\n")
+        for pt in points:
+            fh.write(f"{pt.v_pv!r},{pt.i_pv!r},{pt.p_pv!r}\n")
+        fh.write(f"mpp,{v_mpp!r},{p_mpp!r}\n")
     print(f"iv-curve: {args.points} points, v_mpp={v_mpp:.4f} V, p_mpp={p_mpp:.4f} W")
     return EXIT_OK
 
@@ -190,18 +178,9 @@ def _compare_plateaus(config, n_steps, fh):
 
 def _cmd_mppt_compare(args):
     config = _load_config(args.config)
-    if _names_directory("mppt-compare", (args.out,)):
-        return EXIT_IO
     n_steps = max(2, engine.step_count(config.t_end, config.t_mppt))
-    try:
-        with (
-            _replaced_when_done(args.out) as part,
-            open(part, "w", encoding="utf-8", newline="\n") as fh,
-        ):
-            last_ripple = _compare_plateaus(config, n_steps, fh)
-    except OSError as exc:
-        print(f"mppt-compare: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with _replaced_when_done(args.out) as (fh,):
+        last_ripple = _compare_plateaus(config, n_steps, fh)
 
     if last_ripple["po"] is None:
         print("mppt-compare: no PV power in final segment, comparison n/a")
@@ -253,11 +232,6 @@ def build_parser():
     p_sim.add_argument("--config", help=f"YAML config path (default: ${CONFIG_ENV_VAR} or built-in)")
     p_sim.add_argument("--out", required=True, help="output records CSV path")
     p_sim.add_argument("--mppt", choices=("po", "flc"), help="override the configured controller")
-    p_sim.add_argument(
-        "--seedless",
-        action="store_true",
-        help="assert the run uses no randomness (always true; kept for CI contracts)",
-    )
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_iv = subs.add_parser("iv-curve", help="dump an I-V/P-V sweep with the MPP trailer")

@@ -146,6 +146,14 @@ def _number(section, key, value, minimum=None, maximum=None,
     return v
 
 
+def _count(section, key, value):
+    """A count key: a whole number >= 1, so that 24.7 is refused, not run as 24."""
+    v = _number(section, key, value, minimum=1)
+    if not v.is_integer():
+        raise ConfigError(f"{section}.{key} must be a whole number, got {value!r}")
+    return int(v)
+
+
 def _build_panel(section):
     preset_name = section.get("preset", "generic_80w")
     if not isinstance(preset_name, str) or preset_name not in PANEL_PRESETS:
@@ -159,7 +167,7 @@ def _build_panel(section):
         if key not in _PANEL_FIELDS:
             raise ConfigError(f"unknown config key 'panel.{key}'")
         if key in ("n_s", "n_panels_series", "n_panels_parallel"):
-            overrides[key] = int(_number("panel", key, value, minimum=1))
+            overrides[key] = _count("panel", key, value)
         else:
             overrides[key] = _number("panel", key, value)
     base = PANEL_PRESETS[preset_name]
@@ -182,11 +190,16 @@ def _construct(section, cls, **fields):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-#: ``profiles.synthetic`` key -> (``synthetic_day`` parameter, minimum, maximum).
+#: ``profiles.synthetic`` key -> (``synthetic_day`` parameter, bounds for ``_number``).
+#: The day's coldest value is ``t_min_c``, so its bound of absolute zero
+#: covers the whole temperature profile.
 _SYNTHETIC_KEYS = {
-    "g_peak_wm2": ("g_peak", 0, None), "t_min_c": ("t_min", None, None),
-    "t_max_c": ("t_max", None, None), "sunrise_h": ("sunrise_h", 0, 24),
-    "sunset_h": ("sunset_h", 0, 24), "temp_lag_h": ("temp_lag_h", None, None),
+    "g_peak_wm2": ("g_peak", {"minimum": 0}),
+    "t_min_c": ("t_min", {"minimum": -273.15, "exclusive_min": True}),
+    "t_max_c": ("t_max", {}),
+    "sunrise_h": ("sunrise_h", {"minimum": 0, "maximum": 24}),
+    "sunset_h": ("sunset_h", {"minimum": 0, "maximum": 24}),
+    "temp_lag_h": ("temp_lag_h", {}),
 }
 
 _PROFILE_COLUMNS = {"irradiance": "irradiance_wm2", "temperature": "temperature_c",
@@ -203,8 +216,8 @@ def _build_synthetic(syn):
         if key == "load_blocks":
             kwargs["load_blocks"] = _load_blocks(value)
         elif key in _SYNTHETIC_KEYS:
-            name, minimum, maximum = _SYNTHETIC_KEYS[key]
-            kwargs[name] = _number(section, key, value, minimum=minimum, maximum=maximum)
+            name, bounds = _SYNTHETIC_KEYS[key]
+            kwargs[name] = _number(section, key, value, **bounds)
         else:
             raise ConfigError(f"unknown config key '{section}.{key}'")
     if kwargs["t_min"] > kwargs["t_max"]:
@@ -274,10 +287,6 @@ def build_sim_config(data=None, mppt_override=None):
     initial_soc = _number("simulation", "initial_soc", sim["initial_soc"],
                           minimum=bat.SOC_FLOOR, maximum=bat.SOC_CEILING,
                           exclusive_min=True, exclusive_max=True)
-    v_bus_nominal = sim["v_bus_nominal_v"]
-    if v_bus_nominal is not None:
-        v_bus_nominal = _number("simulation", "v_bus_nominal_v", v_bus_nominal,
-                                minimum=0, exclusive_min=True)
 
     panel = _build_panel(merged["panel"])
 
@@ -285,14 +294,20 @@ def build_sim_config(data=None, mppt_override=None):
     battery = _construct(
         "battery", bat.BatteryParams,
         c_10=_number("battery", "c_10_ah", b["c_10_ah"], minimum=0, exclusive_min=True),
-        n_serial=int(_number("battery", "n_serial", b["n_serial"], minimum=1)),
-        n_parallel=int(_number("battery", "n_parallel", b["n_parallel"], minimum=1)),
+        n_serial=_count("battery", "n_serial", b["n_serial"]),
+        n_parallel=_count("battery", "n_parallel", b["n_parallel"]),
         delta_t=_number("battery", "delta_t_c", b["delta_t_c"]),
         capacity_coeff=_number("battery", "capacity_coeff", b["capacity_coeff"],
                                minimum=0, exclusive_min=True),
         discharge_exp=_number("battery", "discharge_exp", b["discharge_exp"],
                               minimum=0, exclusive_min=True),
     )
+    v_bus_nominal = sim["v_bus_nominal_v"]
+    if v_bus_nominal is None:
+        v_bus_nominal = 2.0 * battery.n_serial
+    else:
+        v_bus_nominal = _number("simulation", "v_bus_nominal_v", v_bus_nominal,
+                                minimum=0, exclusive_min=True)
 
     conv = merged["converter"]
     d_max = _number("converter", "d_max", conv["d_max"], minimum=0, maximum=1,
@@ -331,25 +346,22 @@ def build_sim_config(data=None, mppt_override=None):
 
     irradiance, temperature, load = _build_profiles(merged["profiles"])
 
-    try:
-        return SimConfig(
-            panel=panel,
-            battery=battery,
-            supervisor=supervisor,
-            fuzzy=fuzzy,
-            irradiance=irradiance,
-            temperature=temperature,
-            load=load,
-            dt=dt,
-            t_end=t_end,
-            mppt_kind=mppt_kind,
-            d0=d0,
-            delta_d=delta_d,
-            t_mppt=t_mppt,
-            d_max=d_max,
-            eta=eta,
-            v_bus_nominal=v_bus_nominal,
-            initial_soc=initial_soc,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SimConfig(
+        panel=panel,
+        battery=battery,
+        supervisor=supervisor,
+        fuzzy=fuzzy,
+        irradiance=irradiance,
+        temperature=temperature,
+        load=load,
+        dt=dt,
+        t_end=t_end,
+        mppt_kind=mppt_kind,
+        d0=d0,
+        delta_d=delta_d,
+        t_mppt=t_mppt,
+        d_max=d_max,
+        eta=eta,
+        v_bus_nominal=v_bus_nominal,
+        initial_soc=initial_soc,
+    )

@@ -58,7 +58,7 @@ def step_count(t_end, dt):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one run needs. Build from YAML via :mod:`pvbatsim.config`."""
+    """Everything one run needs, as :func:`pvbatsim.config.build_sim_config` validated it."""
 
     panel: pv.PvPanelParams
     battery: bat.BatteryParams
@@ -67,32 +67,16 @@ class SimConfig:
     irradiance: TimeSeriesProfile
     temperature: TimeSeriesProfile
     load: TimeSeriesProfile
-    dt: float = 1.0
-    t_end: float = 86400.0
-    mppt_kind: str = "flc"
-    d0: float = 0.4
-    delta_d: float = 0.005
-    t_mppt: float = 0.1
-    d_max: float = 0.95
-    eta: float = 1.0
-    v_bus_nominal: float = None
-    initial_soc: float = 0.8
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be > 0")
-        if self.t_end < self.dt:
-            raise ConfigError("t_end must be >= dt")
-        if self.mppt_kind not in ("po", "flc"):
-            raise ConfigError(f"mppt_kind must be 'po' or 'flc', got {self.mppt_kind!r}")
-        if not bat.SOC_FLOOR < self.initial_soc < bat.SOC_CEILING:
-            raise ConfigError(
-                f"initial_soc must lie in ({bat.SOC_FLOOR}, {bat.SOC_CEILING})"
-            )
-        if not 0.0 < self.eta <= 1.0:
-            raise ConfigError("eta must lie in (0, 1]")
-        if self.v_bus_nominal is None:
-            object.__setattr__(self, "v_bus_nominal", 2.0 * self.battery.n_serial)
+    dt: float
+    t_end: float
+    mppt_kind: str
+    d0: float
+    delta_d: float
+    t_mppt: float
+    d_max: float
+    eta: float
+    v_bus_nominal: float
+    initial_soc: float
 
     @property
     def n_steps(self):
@@ -331,12 +315,11 @@ def records_to_csv(records, controller):
     return CSV_HEADER + "\n" + "".join(csv_row(r, controller) for r in records)
 
 
-def write_records_csv(records, controller, path):
-    """Write the CSV of any iterable of records, one row as each arrives."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(csv_row(r, controller))
+def write_records_csv(records, controller, fh):
+    """Write the CSV of any iterable of records to text file ``fh``, one row as each arrives."""
+    fh.write(CSV_HEADER + "\n")
+    for r in records:
+        fh.write(csv_row(r, controller))
 
 
 def ledger_to_text(ledger):
@@ -349,11 +332,6 @@ def ledger_to_text(ledger):
     lines.append(f"closure_residual_wh,{ledger.residual()!r}")
     lines.append(f"closure_relative,{ledger.relative_residual()!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_ledger(ledger, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ledger_to_text(ledger))
 
 
 def run_tracking(kind, panel, g, t_c, n_steps, v_bus, state=None, fuzzy=None, eta=1.0):

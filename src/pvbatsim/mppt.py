@@ -2,12 +2,12 @@
 
 Both controllers emit duty-cycle commands for the boost stage. On that stage
 the panel voltage is ``(1 - d) * v_bus``: raising the panel voltage means
-LOWERING the duty cycle, which is why the default fuzzy output centers run
+LOWERING the duty cycle, which is why the fuzzy output centers run
 opposite to the label order (a "positive big" power-slope correction is a
 negative duty increment).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from pvbatsim.converter import DEFAULT_D_MAX
 from pvbatsim.errors import DomainError
@@ -54,42 +54,31 @@ class MpptState:
             raise DomainError("direction must be +1 or -1")
 
 
+#: Membership centers of the five E and CE labels NB..PB on the normalized axis.
+CENTERS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
 @dataclass(frozen=True)
 class FuzzyConfig:
-    """Universes and singleton centers of the fuzzy controller.
+    """Universes of the fuzzy controller.
 
     Crisp E and CE are divided by ``e_range``/``ce_range`` before
-    fuzzification, so the membership centers live on the normalized axis.
-    ``out_centers`` are duty increments [per label NB..PB]; the defaults
-    descend so that a positive power-slope label lowers the duty (boost
-    topology, see module docstring).
+    fuzzification onto the axis of :data:`CENTERS`. ``out_centers``, derived
+    from ``dd_range``, are duty increments [per label NB..PB]; they descend
+    so that a positive power-slope label lowers the duty (boost topology,
+    see module docstring).
     """
 
     e_range: float = 40.0
     ce_range: float = 40.0
     dd_range: float = 0.01
-    e_centers: tuple = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    ce_centers: tuple = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    out_centers: tuple = None
+    out_centers: tuple = field(init=False)
 
     def __post_init__(self):
         if self.e_range <= 0 or self.ce_range <= 0 or self.dd_range <= 0:
             raise DomainError("fuzzy universe ranges must be > 0")
-        if self.out_centers is None:
-            dd = self.dd_range
-            object.__setattr__(self, "out_centers", (dd, dd / 2, 0.0, -dd / 2, -dd))
-        for name in ("e_centers", "ce_centers", "out_centers"):
-            centers = getattr(self, name)
-            if len(centers) != 5:
-                raise DomainError(f"{name} must have exactly 5 entries")
-            if centers[2] != 0.0:
-                raise DomainError(f"{name}: the Z center must be 0")
-            if any(centers[i] != -centers[4 - i] for i in range(5)):
-                raise DomainError(f"{name} must be symmetric about 0")
-        for name in ("e_centers", "ce_centers"):
-            centers = getattr(self, name)
-            if any(centers[i] >= centers[i + 1] for i in range(4)):
-                raise DomainError(f"{name} must be strictly increasing")
+        dd = self.dd_range
+        object.__setattr__(self, "out_centers", (dd, dd / 2, 0.0, -dd / 2, -dd))
 
 
 def po_step(p_now, v_now, state):
@@ -148,8 +137,8 @@ def flc_step(p_now, v_now, state, config):
     else:
         e = (p_now - state.p_prev) / dv
     ce = e - state.e_prev
-    je, e_lo, e_hi = _fire(e / config.e_range, config.e_centers)
-    jc, c_lo, c_hi = _fire(ce / config.ce_range, config.ce_centers)
+    je, e_lo, e_hi = _fire(e / config.e_range, CENTERS)
+    jc, c_lo, c_hi = _fire(ce / config.ce_range, CENTERS)
     act = [0.0, 0.0, 0.0, 0.0, 0.0]
     for ic, mc in ((jc, c_lo), (jc + 1, c_hi)):
         if mc == 0.0:

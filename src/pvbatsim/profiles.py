@@ -21,22 +21,15 @@ SYNTHETIC_KNOT_S = 60.0
 
 @dataclass(frozen=True)
 class TimeSeriesProfile:
-    """Sampled signal over time with an interpolation policy.
-
-    ``interpolation`` is ``"step"`` (hold the previous knot, right-continuous)
-    or ``"linear"``. Outside the time range the end values hold.
-    """
+    """Sampled signal over time; :func:`sample` reads it between the knots."""
 
     times: tuple
     values: tuple
     quantity: str
-    interpolation: str = "linear"
 
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
             raise ProfileError(f"unknown quantity {self.quantity!r}, expected one of {QUANTITIES}")
-        if self.interpolation not in ("step", "linear"):
-            raise ProfileError(f"interpolation must be 'step' or 'linear', got {self.interpolation!r}")
         if len(self.times) == 0:
             raise ProfileError("profile needs at least one sample")
         if len(self.times) != len(self.values):
@@ -51,14 +44,18 @@ class TimeSeriesProfile:
 
 
 def sample(profile, t):
-    """Value of ``profile`` at time ``t`` [s], clamped to the end values."""
+    """Value of ``profile`` at time ``t`` [s], clamped to the end values.
+
+    Load holds the previous knot (right-continuous steps); irradiance and
+    temperature are interpolated linearly.
+    """
     times = profile.times
     if t < times[0] or t > times[-1]:
         return profile.values[0] if t < times[0] else profile.values[-1]
     k = bisect_right(times, t) - 1
     if k == len(times) - 1:
         return profile.values[-1]
-    if profile.interpolation == "step":
+    if profile.quantity == "load_w":
         return profile.values[k]
     t0, t1 = times[k], times[k + 1]
     v0, v1 = profile.values[k], profile.values[k + 1]
@@ -68,12 +65,12 @@ def sample(profile, t):
 def load_csv(path, column):
     """Read a two-column profile CSV with header ``time_s,<column>``.
 
-    Load is held step-wise between rows; irradiance and temperature are
-    interpolated linearly. Validation failures (missing column, non-monotonic
-    time, NaN, negative irradiance/load, unparseable rows) raise
-    :class:`ProfileError` naming the offending row. Each row is checked once,
-    as it is read: the profile is built without the sample pass of
-    ``TimeSeriesProfile.__post_init__``, which would repeat these checks.
+    Validation failures (missing column, non-monotonic time, NaN, negative
+    irradiance/load, temperature at or below absolute zero, unparseable
+    rows) raise :class:`ProfileError` naming the offending row. Each row is
+    checked once, as it is read: the profile is built without the sample
+    pass of ``TimeSeriesProfile.__post_init__``, which would repeat these
+    checks.
     """
     if column not in QUANTITIES:
         raise ProfileError(f"unknown quantity {column!r}, expected one of {QUANTITIES}")
@@ -98,6 +95,10 @@ def load_csv(path, column):
                 raise ProfileError(f"{path}: row {row_no}: non-finite value")
             if column in _NON_NEGATIVE and v < 0:
                 raise ProfileError(f"{path}: row {row_no}: negative {column} value {v}")
+            # the engine takes the junction temperature as v + 273.15 K
+            if column == "temperature_c" and v + 273.15 <= 0:
+                raise ProfileError(f"{path}: row {row_no}: temperature {v} degC is at or "
+                                   "below absolute zero")
             if times and t <= times[-1]:
                 raise ProfileError(f"{path}: row {row_no}: non-monotonic timestamp {t}")
             times.append(t)
@@ -105,8 +106,7 @@ def load_csv(path, column):
     if not times:
         raise ProfileError(f"{path}: no data rows")
     profile = object.__new__(TimeSeriesProfile)
-    profile.__dict__.update(times=tuple(times), values=tuple(values), quantity=column,
-                            interpolation="step" if column == "load_w" else "linear")
+    profile.__dict__.update(times=tuple(times), values=tuple(values), quantity=column)
     return profile
 
 
@@ -166,8 +166,8 @@ def synthetic_day(g_peak=1000.0, t_min=15.0, t_max=35.0, load_blocks=None,
     g_values.append(g_peak * irr_shape(day_s))
     temp_values.append(t_min + (t_max - t_min) * temp_scale * irr_shape(day_s, lag=temp_lag_h * 3600.0))
 
-    irradiance = TimeSeriesProfile(tuple(times), tuple(g_values), "irradiance_wm2", "linear")
-    temperature = TimeSeriesProfile(tuple(times), tuple(temp_values), "temperature_c", "linear")
+    irradiance = TimeSeriesProfile(tuple(times), tuple(g_values), "irradiance_wm2")
+    temperature = TimeSeriesProfile(tuple(times), tuple(temp_values), "temperature_c")
 
     def load_at(t_h):
         for s, e, w in blocks:
@@ -182,7 +182,7 @@ def synthetic_day(g_peak=1000.0, t_min=15.0, t_max=35.0, load_blocks=None,
             raise ConfigError(f"load block edge {h} beyond 24 h")
         load_times.append(h * 3600.0)
         load_values.append(load_at(h))
-    load = TimeSeriesProfile(tuple(load_times), tuple(load_values), "load_w", "step")
+    load = TimeSeriesProfile(tuple(load_times), tuple(load_values), "load_w")
     return irradiance, temperature, load
 
 

@@ -131,12 +131,6 @@ class TestSimulate:
         rows = out.read_text().splitlines()[1:]
         assert all(row.endswith(",po") for row in rows)
 
-    def test_seedless_flag_accepted(self, short_config, tmp_path, capsys):
-        out = tmp_path / "run.csv"
-        assert cli.main(
-            ["simulate", "--config", short_config, "--out", str(out), "--seedless"]
-        ) == 0
-
     def test_invalid_thresholds_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("supervisor:\n  soc_min: 0.9\n  soc_max: 0.3\n", encoding="utf-8")
@@ -259,6 +253,32 @@ class TestSimulateStreaming:
                 assert path.is_dir() and not any(path.iterdir())
             else:
                 assert path.read_bytes() == b"previous " + path.name.encode() + b"\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.ledger",
+                                                              "short.yaml"]
+
+
+class TestOutputWriter:
+    """Every command stages its outputs as ``<target>.part`` and replaces them at the end."""
+
+    @pytest.mark.parametrize("command", ["simulate", "mppt-compare", "iv-curve"])
+    def test_symlink_out_is_kept(self, command, short_config, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"previous rows\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        config = [] if command == "iv-curve" else ["--config", short_config]
+        assert cli.main([command, *config, "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().splitlines()[0].startswith(("t_s,", "v,i,p"))
+        assert not any(p.name.endswith(".part") for p in tmp_path.iterdir())
+
+    def test_dangling_ledger_link_leaves_out_untouched(self, short_config, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"previous records\n")
+        (tmp_path / "run.csv.ledger").symlink_to(tmp_path / "missing" / "run.csv.ledger")
+        assert cli.main(["simulate", "--config", short_config, "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.read_bytes() == b"previous records\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.ledger",
                                                               "short.yaml"]
 
@@ -418,6 +438,8 @@ SIMULATE = ["simulate", "--config", "{tmp}/case.yaml", "--out", "{tmp}/o.csv"]
 IV_CURVE = ["iv-curve", "--out", "{tmp}/o.csv"]
 CSV_LOAD = ("profiles:\n  irradiance: {csv: {tmp}/irr.csv}\n"
             "  temperature: {csv: {tmp}/temp.csv}\n  load: {csv: %s}\n")
+CSV_TEMP = ("profiles:\n  irradiance: {csv: {tmp}/irr.csv}\n"
+            "  temperature: {csv: %s}\n  load: {csv: {tmp}/load.csv}\n")
 
 
 @pytest.fixture
@@ -425,6 +447,9 @@ def input_files(tmp_path):
     """Valid irradiance/temperature CSVs and the malformed files the cases name."""
     (tmp_path / "irr.csv").write_text("time_s,irradiance_wm2\n0,800\n60,800\n", encoding="utf-8")
     (tmp_path / "temp.csv").write_text("time_s,temperature_c\n0,25\n60,25\n", encoding="utf-8")
+    (tmp_path / "load.csv").write_text("time_s,load_w\n0,100\n60,100\n", encoding="utf-8")
+    (tmp_path / "cold.csv").write_text("time_s,temperature_c\n0,25\n60,-300\n",
+                                       encoding="utf-8")
     (tmp_path / "header.csv").write_text("time_s,power_w\n0,100\n", encoding="utf-8")
     (tmp_path / "row.csv").write_text("time_s,load_w\n0,100\nabc,100\n", encoding="utf-8")
     (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbftime_s,load_w\n0,100\n")
@@ -493,6 +518,20 @@ class TestBadInputs:
                      "config error: mppt.fuzzy.e_range", id="fuzzy-single-prefix"),
         pytest.param("supervisor: {p_epsilon_w: 0}", SIMULATE, 1,
                      "config error: supervisor.p_epsilon_w", id="supervisor-single-prefix"),
+        pytest.param("battery: {n_serial: 24.7}", SIMULATE, 1,
+                     "config error: battery.n_serial", id="fractional-n-serial"),
+        pytest.param("battery: {n_parallel: 1.5}", SIMULATE, 1,
+                     "config error: battery.n_parallel", id="fractional-n-parallel"),
+        pytest.param("panel: {n_panels_series: 1.9}", SIMULATE, 1,
+                     "config error: panel.n_panels_series", id="fractional-panels-series"),
+        pytest.param("panel: {n_panels_parallel: 2.5}", SIMULATE, 1,
+                     "config error: panel.n_panels_parallel", id="fractional-panels-parallel"),
+        pytest.param("panel: {n_s: 36.5}", SIMULATE, 1,
+                     "config error: panel.n_s", id="fractional-n-s"),
+        pytest.param(CSV_TEMP % "{tmp}/cold.csv", SIMULATE, 1,
+                     "config error: profiles.temperature.csv", id="csv-below-absolute-zero"),
+        pytest.param("profiles: {synthetic: {t_min_c: -400}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.t_min_c", id="synthetic-below-absolute-zero"),
     ])
     def test_exit_code_and_name(self, yaml_text, argv, code, needle, input_files, capsys):
         tmp = str(input_files)

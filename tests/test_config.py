@@ -4,6 +4,7 @@ import pytest
 
 from pvbatsim.config import build_sim_config, default_config, load_config_file
 from pvbatsim.errors import ConfigError
+from pvbatsim.profiles import sample
 
 
 class TestDefaults:
@@ -102,7 +103,7 @@ class TestYamlLoading:
         for name, column, rows in (
             ("irr.csv", "irradiance_wm2", "0,0\n600,800\n"),
             ("temp.csv", "temperature_c", "0,20\n600,25\n"),
-            ("load.csv", "load_w", "0,100\n600,100\n"),
+            ("load.csv", "load_w", "0,100\n600,300\n"),
         ):
             (tmp_path / name).write_text(f"time_s,{column}\n{rows}", encoding="utf-8")
         config = build_sim_config(
@@ -116,4 +117,5 @@ class TestYamlLoading:
             }
         )
         assert config.irradiance.values == (0.0, 800.0)
-        assert config.load.interpolation == "step"
+        # load holds the earlier row between two rows
+        assert sample(config.load, 300.0) == 100.0

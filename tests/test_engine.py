@@ -1,5 +1,6 @@
 """Engine step/run behavior: composition, balance, determinism, protection."""
 
+import io
 import os
 import tempfile
 
@@ -16,9 +17,9 @@ from pvbatsim.profiles import TimeSeriesProfile
 def constant_profiles(g, t_c, p_load, t_end=86400.0):
     times = (0.0, t_end)
     return (
-        TimeSeriesProfile(times, (g, g), "irradiance_wm2", "linear"),
-        TimeSeriesProfile(times, (t_c, t_c), "temperature_c", "linear"),
-        TimeSeriesProfile(times, (p_load, p_load), "load_w", "step"),
+        TimeSeriesProfile(times, (g, g), "irradiance_wm2"),
+        TimeSeriesProfile(times, (t_c, t_c), "temperature_c"),
+        TimeSeriesProfile(times, (p_load, p_load), "load_w"),
     )
 
 
@@ -211,9 +212,6 @@ class TestMpptScheduling:
         config = make_config(t_end=10.0, t_mppt=5.0)
         assert config.mppt_every == 5
 
-    def test_mppt_override_validation(self):
-        with pytest.raises(ConfigError):
-            make_config(mppt_kind="annealing")
 
 
 class TestCsvRendering:
@@ -230,9 +228,9 @@ class TestCsvRendering:
     def test_streamed_file_matches_text(self, tmp_path):
         config = make_config(g=800.0, t_end=30.0)
         records, ledger = engine.run(config)
-        path = tmp_path / "run.csv"
-        engine.write_records_csv(engine.steps(config, engine.EnergyLedger()), "po", path)
-        assert path.read_text(encoding="utf-8") == engine.records_to_csv(records, "po")
+        out = io.StringIO()
+        engine.write_records_csv(engine.steps(config, engine.EnergyLedger()), "po", out)
+        assert out.getvalue() == engine.records_to_csv(records, "po")
 
     def test_ledger_text(self):
         config = make_config(t_end=3.0)

@@ -91,8 +91,8 @@ def defuzzify(activations, centers):
 def reference_flc_step(p_now, v_now, state, config):
     """flc_step composed from the stages above."""
     e, ce = compute_error_signals(p_now, state.p_prev, v_now, state.v_prev, state.e_prev)
-    mu_e = fuzzify(e / config.e_range, config.e_centers)
-    mu_ce = fuzzify(ce / config.ce_range, config.ce_centers)
+    mu_e = fuzzify(e / config.e_range, mppt.CENTERS)
+    mu_ce = fuzzify(ce / config.ce_range, mppt.CENTERS)
     dd = defuzzify(infer(mu_e, mu_ce), config.out_centers)
     d = state.d + dd
     if d < 0.0:
@@ -213,19 +213,16 @@ class TestFlcStepMatchesStages:
     @given(p_now=st.floats(0.0, 500.0), p_prev=st.floats(0.0, 500.0),
            v_prev=st.floats(0.0, 60.0), dv=STEP, e_prev=st.floats(-300.0, 300.0),
            d=st.floats(0.0, 0.95), e_range=st.floats(0.5, 100.0),
-           ce_range=st.floats(0.5, 100.0), outer=st.floats(0.1, 2.0),
-           inner=st.floats(0.05, 0.95), dd_range=st.floats(1e-4, 0.1))
+           ce_range=st.floats(0.5, 100.0), dd_range=st.floats(1e-4, 0.1))
     @example(p_now=120.0, p_prev=100.0, v_prev=30.0, dv=1.0, e_prev=0.0, d=0.4,
-             e_range=40.0, ce_range=40.0, outer=1.0, inner=0.5, dd_range=0.01)  # on PS centers
+             e_range=40.0, ce_range=40.0, dd_range=0.01)  # on PS centers
     @example(p_now=300.0, p_prev=300.0, v_prev=35.0, dv=0.0, e_prev=0.0, d=0.3,
-             e_range=40.0, ce_range=40.0, outer=1.0, inner=0.5, dd_range=0.01)  # on Z
+             e_range=40.0, ce_range=40.0, dd_range=0.01)  # on Z
     @example(p_now=500.0, p_prev=0.0, v_prev=10.0, dv=0.5, e_prev=-300.0, d=0.0,
-             e_range=0.5, ce_range=0.5, outer=1.0, inner=0.5, dd_range=0.1)  # saturated, duty floor
+             e_range=0.5, ce_range=0.5, dd_range=0.1)  # saturated, duty floor
     def test_bit_identical(self, p_now, p_prev, v_prev, dv, e_prev, d, e_range, ce_range,
-                           outer, inner, dd_range):
-        centers = (-outer, -inner * outer, 0.0, inner * outer, outer)
-        config = mppt.FuzzyConfig(e_range=e_range, ce_range=ce_range, dd_range=dd_range,
-                                  e_centers=centers, ce_centers=centers)
+                           dd_range):
+        config = mppt.FuzzyConfig(e_range=e_range, ce_range=ce_range, dd_range=dd_range)
         fused, staged = (mppt.MpptState(p_prev=p_prev, v_prev=v_prev, e_prev=e_prev, d=d)
                          for _ in range(2))
         v_now = v_prev + dv

@@ -70,7 +70,10 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def profile_rows(draw):
     """A quantity and its rows: finite, strictly increasing times, in-range values."""
     quantity = draw(st.sampled_from(profiles.QUANTITIES))
-    values = FINITE if quantity == "temperature_c" else st.floats(0.0, allow_infinity=False)
+    if quantity == "temperature_c":
+        values = st.floats(-273.15, exclude_min=True, allow_infinity=False)
+    else:
+        values = st.floats(0.0, allow_infinity=False)
     rows = draw(st.lists(st.tuples(FINITE, values), min_size=1, max_size=30,
                          unique_by=lambda row: row[0]))
     return quantity, sorted(rows)
@@ -92,25 +95,25 @@ class TestCsvRoundTrip:
 
 class TestSample:
     def test_knot_identity(self):
-        prof = profiles.TimeSeriesProfile((0.0, 100.0), (0.0, 1000.0), "load_w", "linear")
+        prof = profiles.TimeSeriesProfile((0.0, 100.0), (0.0, 1000.0), "irradiance_wm2")
         assert profiles.sample(prof, 100.0) == 1000.0
 
     def test_linear_midpoint(self):
-        prof = profiles.TimeSeriesProfile((0.0, 100.0), (0.0, 1000.0), "load_w", "linear")
+        prof = profiles.TimeSeriesProfile((0.0, 100.0), (0.0, 1000.0), "irradiance_wm2")
         assert profiles.sample(prof, 50.0) == pytest.approx(500.0)
 
     def test_step_hold(self):
-        prof = profiles.TimeSeriesProfile((0.0, 100.0), (0.0, 1000.0), "load_w", "step")
+        prof = profiles.TimeSeriesProfile((0.0, 100.0), (0.0, 1000.0), "load_w")
         assert profiles.sample(prof, 50.0) == 0.0
         assert profiles.sample(prof, 99.999) == 0.0
 
     def test_step_right_continuous(self):
-        prof = profiles.TimeSeriesProfile((0.0, 10.0, 20.0), (1.0, 2.0, 3.0), "load_w", "step")
+        prof = profiles.TimeSeriesProfile((0.0, 10.0, 20.0), (1.0, 2.0, 3.0), "load_w")
         assert profiles.sample(prof, 10.0) == 2.0
         assert profiles.sample(prof, 9.999999) == 1.0
 
     def test_boundary_hold(self):
-        prof = profiles.TimeSeriesProfile((0.0, 10.0), (1.0, 2.0), "load_w", "step")
+        prof = profiles.TimeSeriesProfile((0.0, 10.0), (1.0, 2.0), "load_w")
         assert profiles.sample(prof, -5.0) == 1.0
         assert profiles.sample(prof, 15.0) == 2.0
 
