@@ -25,21 +25,16 @@ class BatteryParams:
     ``c_10`` is the 10-hour rated capacity of one string [Ah]; the 10-hour
     current is ``c_10 / 10``. ``capacity_coeff`` is the printed 1.76 capacity
     factor (the classical fit uses 1.67). ``discharge_exp`` is the exponent of
-    the discharge sag current term, 1.3 by default (1.8 is selectable).
+    the discharge sag current term (printed as 1.3 and as 1.8). The fields are as
+    :func:`pvbatsim.config.build_sim_config` checked them.
     """
 
-    c_10: float = 100.0
-    n_serial: int = 24
-    n_parallel: int = 1
-    delta_t: float = 0.0
-    capacity_coeff: float = 1.76
-    discharge_exp: float = 1.3
-
-    def __post_init__(self):
-        if self.c_10 <= 0:
-            raise DomainError("c_10 must be > 0")
-        if self.n_serial < 1 or self.n_parallel < 1:
-            raise DomainError("n_serial and n_parallel must be >= 1")
+    c_10: float
+    n_serial: int
+    n_parallel: int
+    delta_t: float
+    capacity_coeff: float
+    discharge_exp: float
 
     @property
     def i_10(self):
@@ -54,20 +49,13 @@ class BatteryState:
     ``q`` is the bank-level extracted charge [Ah]. ``mode_flag`` remembers the
     regime used to pick the open-circuit voltage branch at zero current.
     ``clamp_events`` counts SOC/charge clampings since the state was created.
-    Fields are validated at construction; :func:`soc_update` clamps what it
-    writes.
+    :func:`soc_update` clamps what it writes.
     """
 
     soc: float = 1.0
     q: float = 0.0
     mode_flag: str = "idle"
     clamp_events: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.soc <= 1.0:
-            raise DomainError("soc must lie in [0, 1]")
-        if self.q < 0:
-            raise DomainError("q must be >= 0")
 
 
 def state_for_soc(soc, params):

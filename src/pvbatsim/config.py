@@ -2,7 +2,8 @@
 
 One structured file drives a run; every section mirrors a module config.
 Unknown keys are rejected so typos fail loudly instead of silently using a
-default.
+default. This module is the one place that knows each parameter's default
+and valid range: the records it builds carry neither and trust it.
 """
 
 import copy
@@ -16,7 +17,7 @@ from pvbatsim import pv
 from pvbatsim import supervisor as sup
 from pvbatsim.engine import SimConfig
 from pvbatsim.errors import ConfigError, ProfileError
-from pvbatsim.profiles import DEFAULT_LOAD_BLOCKS, load_csv, synthetic_day
+from pvbatsim.profiles import load_csv, synthetic_day
 
 #: Panel presets selectable as ``panel.preset``.
 PANEL_PRESETS = {"generic_80w": pv.GENERIC_80W}
@@ -71,16 +72,34 @@ _DEFAULTS = {
             "sunrise_h": 6.0,
             "sunset_h": 18.0,
             "temp_lag_h": 1.0,
-            "load_blocks": [list(b) for b in DEFAULT_LOAD_BLOCKS],
+            # illustrative consumption: morning and evening peaks over a small base
+            "load_blocks": [
+                [0.0, 6.0, 60.0],
+                [6.0, 9.0, 150.0],
+                [9.0, 18.0, 100.0],
+                [18.0, 22.0, 300.0],
+                [22.0, 24.0, 60.0],
+            ],
         },
     },
 }
 
-#: PvPanelParams fields that may override a preset under ``panel:``.
-_PANEL_FIELDS = (
-    "i_ph_ref", "i_0_ref", "r_s", "r_sh", "a", "n_s", "g_ref", "t_ref",
-    "k_i", "i_0_temp_exp", "n_panels_series", "n_panels_parallel",
-)
+#: ``PvPanelParams`` field -> bounds for ``_number``, or None for a count.
+#: A preset gives every field; a key beside ``panel.preset`` overrides one.
+_PANEL_FIELDS = {
+    "i_ph_ref": {"minimum": 0, "exclusive_min": True},
+    "i_0_ref": {"minimum": 0, "exclusive_min": True},
+    "r_s": {"minimum": 0},
+    "r_sh": {"minimum": 0, "exclusive_min": True},
+    "a": {"minimum": 1, "maximum": 2},
+    "n_s": None,
+    "g_ref": {"minimum": 0, "exclusive_min": True},
+    "t_ref": {"minimum": 0, "exclusive_min": True},
+    "k_i": {},
+    "i_0_temp_exp": {},
+    "n_panels_series": None,
+    "n_panels_parallel": None,
+}
 
 
 def default_config():
@@ -155,39 +174,23 @@ def _count(section, key, value):
 
 
 def _build_panel(section):
-    preset_name = section.get("preset", "generic_80w")
+    preset_name = section["preset"]
     if not isinstance(preset_name, str) or preset_name not in PANEL_PRESETS:
         raise ConfigError(
             f"panel.preset {preset_name!r} unknown; available: {sorted(PANEL_PRESETS)}"
         )
-    overrides = {}
-    for key, value in section.items():
-        if key == "preset":
-            continue
-        if key not in _PANEL_FIELDS:
+    for key in section:
+        if key != "preset" and key not in _PANEL_FIELDS:
             raise ConfigError(f"unknown config key 'panel.{key}'")
-        if key in ("n_s", "n_panels_series", "n_panels_parallel"):
-            overrides[key] = _count("panel", key, value)
+    preset = PANEL_PRESETS[preset_name]
+    fields = {}
+    for key, bounds in _PANEL_FIELDS.items():
+        value = section.get(key, getattr(preset, key))
+        if bounds is None:
+            fields[key] = _count("panel", key, value)
         else:
-            overrides[key] = _number("panel", key, value)
-    base = PANEL_PRESETS[preset_name]
-    return _construct("panel", pv.PvPanelParams, **{**_panel_as_dict(base), **overrides})
-
-
-def _panel_as_dict(params):
-    return {name: getattr(params, name) for name in _PANEL_FIELDS}
-
-
-def _construct(section, cls, **fields):
-    """Build ``cls(**fields)``, naming ``section`` in the errors of its own checks.
-
-    The fields are evaluated before the call, so a key-named ``ConfigError``
-    from ``_number`` passes through without a second prefix.
-    """
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+            fields[key] = _number("panel", key, value, **bounds)
+    return pv.PvPanelParams(**fields)
 
 
 #: ``profiles.synthetic`` key -> (``synthetic_day`` parameter, bounds for ``_number``).
@@ -223,10 +226,10 @@ def _build_synthetic(syn):
     if kwargs["t_min"] > kwargs["t_max"]:
         raise ConfigError(f"{section}.t_min_c must be <= {section}.t_max_c, "
                           f"got {kwargs['t_min']:g} > {kwargs['t_max']:g}")
-    try:
-        return synthetic_day(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+    if kwargs["sunrise_h"] >= kwargs["sunset_h"]:
+        raise ConfigError(f"{section}.sunrise_h must be < {section}.sunset_h, "
+                          f"got {kwargs['sunrise_h']:g} >= {kwargs['sunset_h']:g}")
+    return synthetic_day(**kwargs)
 
 
 def _load_blocks(value):
@@ -237,12 +240,18 @@ def _load_blocks(value):
     for i, block in enumerate(value):
         if not isinstance(block, list) or len(block) != 3:
             raise ConfigError(f"{key}[{i}] must be [start_h, end_h, watts]")
-        start, end, watts = (_number(f"{key}[{i}]", field, x)
-                             for field, x in zip(("start_h", "end_h", "watts"), block))
+        start = _number(f"{key}[{i}]", "start_h", block[0])
+        end = _number(f"{key}[{i}]", "end_h", block[1])
+        watts = _number(f"{key}[{i}]", "watts", block[2], minimum=0)
         if not 0 <= start < end <= 24:
             raise ConfigError(f"{key}[{i}] must satisfy 0 <= start_h < end_h <= 24, "
                               f"got [{start:g}, {end:g}]")
         blocks.append([start, end, watts])
+    by_start = sorted(range(len(blocks)), key=lambda i: blocks[i][0])
+    for i, j in zip(by_start, by_start[1:]):
+        if blocks[j][0] < blocks[i][1]:
+            raise ConfigError(f"{key}[{j}] overlaps {key}[{i}]: it starts at "
+                              f"{blocks[j][0]:g} h, before {blocks[i][1]:g} h")
     return blocks
 
 
@@ -274,6 +283,10 @@ def _build_profiles(section):
     )
 
 
+#: The supervisor's SOC thresholds, each strictly above the one before.
+_SOC_CHAIN = ("soc_min", "soc_min_release", "soc_max_release", "soc_max")
+
+
 def build_sim_config(data=None, mppt_override=None):
     """Validate a config dict (merged over the defaults) into a SimConfig."""
     merged = _merge(_DEFAULTS, data or {})
@@ -291,8 +304,7 @@ def build_sim_config(data=None, mppt_override=None):
     panel = _build_panel(merged["panel"])
 
     b = merged["battery"]
-    battery = _construct(
-        "battery", bat.BatteryParams,
+    battery = bat.BatteryParams(
         c_10=_number("battery", "c_10_ah", b["c_10_ah"], minimum=0, exclusive_min=True),
         n_serial=_count("battery", "n_serial", b["n_serial"]),
         n_parallel=_count("battery", "n_parallel", b["n_parallel"]),
@@ -320,26 +332,24 @@ def build_sim_config(data=None, mppt_override=None):
     t_mppt = _number("mppt", "t_mppt_s", m["t_mppt_s"], minimum=0, exclusive_min=True)
     d0 = _number("mppt", "d0", m["d0"], minimum=0, maximum=d_max)
     f = m["fuzzy"]
-    fuzzy = _construct(
-        "mppt.fuzzy", mp.FuzzyConfig,
+    fuzzy = mp.FuzzyConfig(
         e_range=_number("mppt.fuzzy", "e_range", f["e_range"], minimum=0, exclusive_min=True),
         ce_range=_number("mppt.fuzzy", "ce_range", f["ce_range"], minimum=0, exclusive_min=True),
         dd_range=_number("mppt.fuzzy", "dd_range", f["dd_range"], minimum=0, exclusive_min=True),
     )
 
     s = merged["supervisor"]
-    soc_min = _number("supervisor", "soc_min", s["soc_min"])
-    soc_max = _number("supervisor", "soc_max", s["soc_max"])
-    if soc_min >= soc_max:
-        raise ConfigError(
-            f"supervisor.soc_min ({soc_min}) must be below supervisor.soc_max ({soc_max})"
-        )
-    supervisor = _construct(
-        "supervisor", sup.SupervisorConfig,
-        soc_min=soc_min,
-        soc_min_release=_number("supervisor", "soc_min_release", s["soc_min_release"]),
-        soc_max=soc_max,
-        soc_max_release=_number("supervisor", "soc_max_release", s["soc_max_release"]),
+    socs = {key: _number("supervisor", key, s[key], minimum=0, maximum=1,
+                         exclusive_min=True, exclusive_max=True) for key in _SOC_CHAIN}
+    for lower, upper in zip(_SOC_CHAIN, _SOC_CHAIN[1:]):
+        if socs[upper] <= socs[lower]:
+            raise ConfigError(
+                f"supervisor.{upper} ({socs[upper]:g}) must be above supervisor.{lower} "
+                f"({socs[lower]:g}): the thresholds must satisfy 0 < soc_min "
+                "< soc_min_release < soc_max_release < soc_max < 1"
+            )
+    supervisor = sup.SupervisorConfig(
+        **socs,
         p_epsilon=_number("supervisor", "p_epsilon_w", s["p_epsilon_w"],
                           minimum=0, exclusive_min=True),
     )

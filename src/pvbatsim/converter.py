@@ -5,8 +5,6 @@ are out of scope. The duty cycle is clamped below 1 to keep the 1/(1-D)
 ratio finite.
 """
 
-DEFAULT_D_MAX = 0.95
-
 
 def pv_port_voltage(v_bus, d):
     """PV-side voltage seen through the boost stage at duty ``d`` on a pinned bus."""

@@ -167,8 +167,10 @@ def init_state(config):
                        mppt_every=config.mppt_every)
 
 
-def step(config, state, t, ledger=None, step_index=0):
-    """Advance one step at time ``t``, updating ``state`` in place; returns the step's record.
+def step(config, state, t, ledger, step_index):
+    """Advance one step at time ``t``, updating ``state`` and ``ledger`` in place.
+
+    Returns the step's record; ``step_index`` names the step in errors.
 
     Solver failures abort with the step index attached; battery singularity
     guards downgrade to a protective mode (4 while charging, 5 while
@@ -247,16 +249,15 @@ def step(config, state, t, ledger=None, step_index=0):
         mode_column, k1, k2, k3, p_curt, flags,
     )
 
-    if ledger is not None:
-        ledger.e_pv += (p_port if connected else 0.0) * dt_h
-        ledger.e_load_served += p_served * dt_h
-        ledger.e_load_unserved += (p_load - p_served) * dt_h
-        if p_bat > 0.0:
-            ledger.e_bat_out += p_bat * dt_h
-        else:
-            ledger.e_bat_in += -p_bat * dt_h
-        ledger.e_curtailed += p_curt * dt_h
-        ledger.e_loss += ((p_port - p_avail) if connected else 0.0) * dt_h
+    ledger.e_pv += (p_port if connected else 0.0) * dt_h
+    ledger.e_load_served += p_served * dt_h
+    ledger.e_load_unserved += (p_load - p_served) * dt_h
+    if p_bat > 0.0:
+        ledger.e_bat_out += p_bat * dt_h
+    else:
+        ledger.e_bat_in += -p_bat * dt_h
+    ledger.e_curtailed += p_curt * dt_h
+    ledger.e_loss += ((p_port - p_avail) if connected else 0.0) * dt_h
 
     _check_balance(record, step_index)
     return record
@@ -334,13 +335,13 @@ def ledger_to_text(ledger):
     return "\n".join(lines) + "\n"
 
 
-def run_tracking(kind, panel, g, t_c, n_steps, v_bus, state=None, fuzzy=None, eta=1.0):
+def run_tracking(kind, panel, g, t_c, n_steps, v_bus, state, fuzzy, eta):
     """Desk-scale MPPT bench: one controller against a static curve.
 
     The bus is held at ``v_bus`` and the conditions at ``g`` (W/m2) and
-    ``t_c`` (Celsius). ``state`` (a fresh ``MpptState`` if omitted) is
-    updated in place, so a run over several plateaus carries one state from
-    call to call. Returns ``n_steps`` samples ``(d, v, p)``.
+    ``t_c`` (Celsius); the converter passes ``eta`` of the PV power. ``state``
+    is updated in place, so a run over several plateaus carries one state
+    from call to call. Returns ``n_steps`` samples ``(d, v, p)``.
 
     A settled controller revisits a few port voltages over and over, so
     each distinct voltage is solved once and its power reused:
@@ -349,10 +350,6 @@ def run_tracking(kind, panel, g, t_c, n_steps, v_bus, state=None, fuzzy=None, et
     """
     if kind not in ("po", "flc"):
         raise ConfigError(f"unknown controller kind {kind!r}")
-    if state is None:
-        state = mp.MpptState()
-    if fuzzy is None:
-        fuzzy = mp.FuzzyConfig()
     po = kind == "po"
     t_j = t_c + 273.15
     out = []

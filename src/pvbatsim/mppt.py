@@ -9,9 +9,6 @@ negative duty increment).
 
 from dataclasses import dataclass, field
 
-from pvbatsim.converter import DEFAULT_D_MAX
-from pvbatsim.errors import DomainError
-
 #: Voltage difference below which the power slope is declared unmeasurable
 #: and the error defaults to zero.
 V_EPSILON = 1e-6
@@ -33,25 +30,18 @@ RULE_TABLE = (
 class MpptState:
     """Controller memory shared by both algorithms, updated in place by each step.
 
-    Fields are validated at construction; the step functions clamp the duty
-    cycle they write, so later updates need no re-check.
+    The duty cycle ``d`` starts in ``[0, d_max]`` and the step functions clamp
+    what they write to that range. ``p_prev``, ``v_prev``, ``e_prev`` and
+    ``direction`` start at their values before the first sample.
     """
 
+    d: float
+    delta_d: float
+    d_max: float
     p_prev: float = 0.0
     v_prev: float = 0.0
     e_prev: float = 0.0
-    d: float = 0.4
-    delta_d: float = 0.005
     direction: int = 1
-    d_max: float = DEFAULT_D_MAX
-
-    def __post_init__(self):
-        if self.delta_d <= 0:
-            raise DomainError("delta_d must be > 0")
-        if not 0.0 <= self.d <= self.d_max:
-            raise DomainError(f"duty cycle {self.d} outside [0, {self.d_max}]")
-        if self.direction not in (-1, 1):
-            raise DomainError("direction must be +1 or -1")
 
 
 #: Membership centers of the five E and CE labels NB..PB on the normalized axis.
@@ -69,14 +59,12 @@ class FuzzyConfig:
     see module docstring).
     """
 
-    e_range: float = 40.0
-    ce_range: float = 40.0
-    dd_range: float = 0.01
+    e_range: float
+    ce_range: float
+    dd_range: float
     out_centers: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.e_range <= 0 or self.ce_range <= 0 or self.dd_range <= 0:
-            raise DomainError("fuzzy universe ranges must be > 0")
         dd = self.dd_range
         object.__setattr__(self, "out_centers", (dd, dd / 2, 0.0, -dd / 2, -dd))
 

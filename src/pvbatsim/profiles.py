@@ -8,7 +8,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from pvbatsim.errors import ConfigError, ProfileError
+from pvbatsim.errors import ProfileError
 
 QUANTITIES = ("irradiance_wm2", "temperature_c", "load_w")
 
@@ -21,26 +21,16 @@ SYNTHETIC_KNOT_S = 60.0
 
 @dataclass(frozen=True)
 class TimeSeriesProfile:
-    """Sampled signal over time; :func:`sample` reads it between the knots."""
+    """Sampled signal over time; :func:`sample` reads it between the knots.
+
+    ``quantity`` is one of :data:`QUANTITIES`; ``times`` and ``values`` are
+    finite, equally long and non-empty, and ``times`` strictly increase.
+    :func:`load_csv` and :func:`synthetic_day` build profiles that hold.
+    """
 
     times: tuple
     values: tuple
     quantity: str
-
-    def __post_init__(self):
-        if self.quantity not in QUANTITIES:
-            raise ProfileError(f"unknown quantity {self.quantity!r}, expected one of {QUANTITIES}")
-        if len(self.times) == 0:
-            raise ProfileError("profile needs at least one sample")
-        if len(self.times) != len(self.values):
-            raise ProfileError("times and values must have the same length")
-        for k, (t, v) in enumerate(zip(self.times, self.values)):
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise ProfileError(f"non-finite sample at index {k}")
-            if self.quantity in _NON_NEGATIVE and v < 0:
-                raise ProfileError(f"negative {self.quantity} value {v} at index {k}")
-            if k > 0 and t <= self.times[k - 1]:
-                raise ProfileError(f"timestamps must be strictly increasing at index {k}")
 
 
 def sample(profile, t):
@@ -67,10 +57,7 @@ def load_csv(path, column):
 
     Validation failures (missing column, non-monotonic time, NaN, negative
     irradiance/load, temperature at or below absolute zero, unparseable
-    rows) raise :class:`ProfileError` naming the offending row. Each row is
-    checked once, as it is read: the profile is built without the sample
-    pass of ``TimeSeriesProfile.__post_init__``, which would repeat these
-    checks.
+    rows) raise :class:`ProfileError` naming the offending row.
     """
     if column not in QUANTITIES:
         raise ProfileError(f"unknown quantity {column!r}, expected one of {QUANTITIES}")
@@ -105,9 +92,7 @@ def load_csv(path, column):
             values.append(v)
     if not times:
         raise ProfileError(f"{path}: no data rows")
-    profile = object.__new__(TimeSeriesProfile)
-    profile.__dict__.update(times=tuple(times), values=tuple(values), quantity=column)
-    return profile
+    return TimeSeriesProfile(tuple(times), tuple(values), column)
 
 
 def write_csv(profile, path):
@@ -118,8 +103,7 @@ def write_csv(profile, path):
             fh.write(f"{t!r},{v!r}\n")
 
 
-def synthetic_day(g_peak=1000.0, t_min=15.0, t_max=35.0, load_blocks=None,
-                  sunrise_h=6.0, sunset_h=18.0, temp_lag_h=1.0):
+def synthetic_day(g_peak, t_min, t_max, load_blocks, sunrise_h, sunset_h, temp_lag_h):
     """Synthesize one day: half-sine irradiance, lagged temperature, block load.
 
     Irradiance is a half sine between sunrise and sunset peaking at ``g_peak``
@@ -127,19 +111,11 @@ def synthetic_day(g_peak=1000.0, t_min=15.0, t_max=35.0, load_blocks=None,
     ``temp_lag_h`` hours, spanning [t_min, t_max]. The load is the sum of
     non-overlapping ``(start_h, end_h, watts)`` blocks. Returns the triple
     ``(irradiance, temperature, load)``.
+
+    The arguments are as :func:`pvbatsim.config.build_sim_config` checked
+    them: ``g_peak >= 0``, ``0 <= sunrise_h < sunset_h <= 24`` and blocks
+    with ``0 <= start_h < end_h <= 24`` and non-negative watts.
     """
-    if g_peak < 0:
-        raise ConfigError("g_peak must be >= 0")
-    if not sunrise_h < sunset_h:
-        raise ConfigError("sunrise_h must be before sunset_h")
-    if load_blocks is None:
-        load_blocks = DEFAULT_LOAD_BLOCKS
-    blocks = sorted((float(s), float(e), float(w)) for s, e, w in load_blocks)
-    for (s0, e0, _), (s1, _, _) in zip(blocks, blocks[1:]):
-        if s1 < e0:
-            raise ConfigError(
-                f"load blocks overlap: [{s0}, {e0}) and [{s1}, ...)"
-            )
     day_s = 86400.0
     sunrise, sunset = sunrise_h * 3600.0, sunset_h * 3600.0
     daylight = sunset - sunrise
@@ -170,27 +146,15 @@ def synthetic_day(g_peak=1000.0, t_min=15.0, t_max=35.0, load_blocks=None,
     temperature = TimeSeriesProfile(tuple(times), tuple(temp_values), "temperature_c")
 
     def load_at(t_h):
-        for s, e, w in blocks:
+        for s, e, w in load_blocks:
             if s <= t_h < e:
                 return w
         return 0.0
 
-    edges = sorted({0.0, 24.0} | {s for s, _, _ in blocks} | {e for _, e, _ in blocks})
+    edges = sorted({0.0, 24.0} | {h for s, e, _ in load_blocks for h in (s, e)})
     load_times, load_values = [], []
     for h in edges:
-        if h > 24.0:
-            raise ConfigError(f"load block edge {h} beyond 24 h")
         load_times.append(h * 3600.0)
         load_values.append(load_at(h))
     load = TimeSeriesProfile(tuple(load_times), tuple(load_values), "load_w")
     return irradiance, temperature, load
-
-
-#: Illustrative daily consumption: morning and evening peaks over a small base.
-DEFAULT_LOAD_BLOCKS = (
-    (0.0, 6.0, 60.0),
-    (6.0, 9.0, 150.0),
-    (9.0, 18.0, 100.0),
-    (18.0, 22.0, 300.0),
-    (22.0, 24.0, 60.0),
-)

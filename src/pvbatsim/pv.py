@@ -23,6 +23,9 @@ BOLTZMANN = 1.380649e-23
 class PvPanelParams:
     """Electrical parameters of one panel plus the array layout.
 
+    :func:`pvbatsim.config.build_sim_config` checks every field against its
+    bounds; the record itself trusts them.
+
     Parameters
     ----------
     i_ph_ref : float
@@ -34,7 +37,7 @@ class PvPanelParams:
     r_sh : float
         Shunt resistance [ohm].
     a : float
-        Diode ideality factor, typically in [1, 2].
+        Diode ideality factor, in [1, 2].
     n_s : int
         Cells in series within one panel.
     g_ref, t_ref : float
@@ -44,7 +47,7 @@ class PvPanelParams:
         photocurrent as ``1 + k_i * (t_j - t_ref)``.
     i_0_temp_exp : float
         Exponent of the optional ``(t_j / t_ref) ** exp`` saturation-current
-        temperature law. 0 keeps ``i_0`` constant (the default closure).
+        temperature law. 0 keeps ``i_0`` constant.
     n_panels_series, n_panels_parallel : int
         Array layout.
     """
@@ -55,28 +58,12 @@ class PvPanelParams:
     r_sh: float
     a: float
     n_s: int
-    g_ref: float = 1000.0
-    t_ref: float = 298.15
-    k_i: float = 0.0005
-    i_0_temp_exp: float = 0.0
-    n_panels_series: int = 1
-    n_panels_parallel: int = 1
-
-    def __post_init__(self):
-        if self.i_ph_ref <= 0:
-            raise DomainError("i_ph_ref must be > 0")
-        if self.i_0_ref <= 0:
-            raise DomainError("i_0_ref must be > 0")
-        if self.r_s < 0:
-            raise DomainError("r_s must be >= 0")
-        if self.r_sh <= 0:
-            raise DomainError("r_sh must be > 0")
-        if not 1.0 <= self.a <= 2.0:
-            raise DomainError("diode ideality factor a must lie in [1, 2]")
-        if self.n_s < 1 or self.n_panels_series < 1 or self.n_panels_parallel < 1:
-            raise DomainError("cell and panel counts must be >= 1")
-        if self.g_ref <= 0:
-            raise DomainError("g_ref must be > 0")
+    g_ref: float
+    t_ref: float
+    k_i: float
+    i_0_temp_exp: float
+    n_panels_series: int
+    n_panels_parallel: int
 
     def thermal_voltage(self, t_j):
         """Modified thermal voltage ``a * n_s * k * t_j / q`` of one panel [V]."""
@@ -108,6 +95,12 @@ GENERIC_80W = PvPanelParams(
     r_sh=200.0,
     a=1.3,
     n_s=36,
+    g_ref=1000.0,
+    t_ref=298.15,
+    k_i=0.0005,
+    i_0_temp_exp=0.0,
+    n_panels_series=1,
+    n_panels_parallel=1,
 )
 
 

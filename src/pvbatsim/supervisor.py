@@ -39,22 +39,18 @@ SWITCH_TABLE = {
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Protection thresholds. Release values de-latch the hysteresis bands."""
+    """Protection thresholds. Release values de-latch the hysteresis bands.
 
-    soc_min: float = 0.20
-    soc_min_release: float = 0.25
-    soc_max: float = 0.90
-    soc_max_release: float = 0.85
-    p_epsilon: float = 1.0
+    :func:`pvbatsim.config.build_sim_config` checks that
+    ``0 < soc_min < soc_min_release < soc_max_release < soc_max < 1`` and
+    ``p_epsilon > 0``.
+    """
 
-    def __post_init__(self):
-        if not 0.0 < self.soc_min < self.soc_min_release < self.soc_max_release < self.soc_max < 1.0:
-            raise DomainError(
-                "thresholds must satisfy 0 < soc_min < soc_min_release "
-                "< soc_max_release < soc_max < 1"
-            )
-        if self.p_epsilon <= 0:
-            raise DomainError("p_epsilon must be > 0")
+    soc_min: float
+    soc_min_release: float
+    soc_max: float
+    soc_max_release: float
+    p_epsilon: float
 
 
 @dataclass(slots=True)
@@ -106,11 +102,6 @@ def select_mode(p_pv, p_load, soc, state, config):
     else:
         state.mode = SupervisorMode.MODE5
     return state
-
-
-def switch_states(mode):
-    """(K1, K2, K3) triple for ``mode``, exactly as tabulated."""
-    return SWITCH_TABLE[mode]
 
 
 def route_power(mode, p_pv, p_load):

@@ -67,11 +67,13 @@ def test_criterion_2_rule_base_exact():
 
 def test_criterion_3_mppt_tracking():
     t0 = time.perf_counter()
-    panel = build_sim_config().panel
+    config = build_sim_config()
+    panel = config.panel
     _, p_mpp = pv.mpp_oracle(1000.0, 298.15, panel)
     stats = {}
     for kind in ("po", "flc"):
-        samples = engine.run_tracking(kind, panel, 1000.0, 25.0, 500, 48.0)
+        samples = engine.run_tracking(kind, panel, 1000.0, 25.0, 500, 48.0,
+                                      engine.init_state(config).mppt, config.fuzzy, config.eta)
         stats[kind] = engine.steady_stats(samples)
     for kind, (mean, _) in stats.items():
         assert mean >= 0.98 * p_mpp, f"{kind} steady mean {mean} below 98% of {p_mpp}"
@@ -139,7 +141,10 @@ def test_criterion_5_battery_formula_oracle():
         ) * (1 - 0.025 * dt)
 
     rng = np.random.RandomState(2024)
-    params = battery.BatteryParams(c_10=100.0, n_serial=24)
+    params = build_sim_config().battery
+    # the coefficients the straight lines below are written with
+    assert (params.c_10, params.n_serial, params.capacity_coeff,
+            params.discharge_exp) == (100.0, 24, 1.76, 1.3)
     worst = 0.0
     for _ in range(1000):
         soc = rng.uniform(0.006, 0.994)
@@ -176,7 +181,7 @@ def test_criterion_6_ledger_closure():
 
 def test_criterion_7_supervisor_safety():
     t0 = time.perf_counter()
-    config = sup.SupervisorConfig()
+    config = build_sim_config().supervisor
     rng = np.random.RandomState(77)
     state = sup.SupervisorState()
     soc = 0.5
@@ -189,7 +194,7 @@ def test_criterion_7_supervisor_safety():
         p_pv = rng.choice([0.0, 0.5, 80.0, 250.0, 600.0])
         p_load = rng.choice([0.0, 60.0, 150.0, 300.0])
         state = sup.select_mode(p_pv, p_load, soc, state, config)
-        sw = sup.switch_states(state.mode)
+        sw = sup.SWITCH_TABLE[state.mode]
         if soc <= config.soc_min:
             assert not sw.k3, f"K3 closed at soc={soc}"
         if soc >= config.soc_max:

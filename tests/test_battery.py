@@ -5,10 +5,13 @@ independent of the module implementation, and are also used by the
 acceptance suite.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pvbatsim import battery
+from pvbatsim.config import build_sim_config
 from pvbatsim.errors import DomainError, SingularityGuardError
 
 
@@ -30,14 +33,18 @@ def charge_line(soc, i, dt, c10, n):
     ) * (1 - 0.025 * dt)
 
 
+#: The default bank: c_10 100 Ah, 24 cells in series, one string.
+BANK = build_sim_config().battery
+
+
 @pytest.fixture
 def params():
-    return battery.BatteryParams(c_10=100.0, n_serial=24, n_parallel=1)
+    return BANK
 
 
 @pytest.fixture
 def cell():
-    return battery.BatteryParams(c_10=100.0, n_serial=1, n_parallel=1)
+    return replace(BANK, n_serial=1)
 
 
 class TestCapacity:
@@ -83,7 +90,7 @@ class TestDischargeVoltage:
 
     def test_linear_in_series_count(self, cell):
         v1 = battery.discharge_voltage(0.7, 5.0, 0.0, cell)
-        params12 = battery.BatteryParams(c_10=100.0, n_serial=12)
+        params12 = replace(BANK, n_serial=12)
         assert battery.discharge_voltage(0.7, 5.0, 0.0, params12) == pytest.approx(
             12.0 * v1, rel=1e-12
         )
@@ -113,7 +120,7 @@ class TestDischargeVoltage:
             )
 
     def test_configurable_exponent(self):
-        params18 = battery.BatteryParams(c_10=100.0, n_serial=1, discharge_exp=1.8)
+        params18 = replace(BANK, n_serial=1, discharge_exp=1.8)
         assert battery.discharge_voltage(0.8, 5.0, 0.0, params18) == pytest.approx(
             discharge_line(0.8, 5.0, 0.0, 100.0, 1, exp=1.8), rel=1e-12
         )
@@ -126,8 +133,8 @@ class TestChargeVoltage:
         )
 
     def test_linear_in_series_count(self):
-        p12 = battery.BatteryParams(c_10=100.0, n_serial=12)
-        p24 = battery.BatteryParams(c_10=100.0, n_serial=24)
+        p12 = replace(BANK, n_serial=12)
+        p24 = BANK
         v12 = battery.charge_voltage(0.5, 5.0, 0.0, p12)
         v24 = battery.charge_voltage(0.5, 5.0, 0.0, p24)
         assert v24 == pytest.approx(2.0 * v12, rel=1e-12)
@@ -177,8 +184,8 @@ class TestTerminalVoltage:
         assert v_chg > v_dis
 
     def test_parallel_strings_split_current(self):
-        single = battery.BatteryParams(c_10=100.0, n_serial=24, n_parallel=1)
-        double = battery.BatteryParams(c_10=100.0, n_serial=24, n_parallel=2)
+        single = BANK
+        double = replace(BANK, n_parallel=2)
         state = battery.state_for_soc(0.8, single)
         v1 = battery.terminal_voltage(state, 5.0, single)
         v2 = battery.terminal_voltage(battery.state_for_soc(0.8, double), 10.0, double)

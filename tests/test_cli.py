@@ -532,6 +532,25 @@ class TestBadInputs:
                      "config error: profiles.temperature.csv", id="csv-below-absolute-zero"),
         pytest.param("profiles: {synthetic: {t_min_c: -400}}", SIMULATE, 1,
                      "config error: profiles.synthetic.t_min_c", id="synthetic-below-absolute-zero"),
+        pytest.param("panel: {t_ref: 0, i_0_temp_exp: 3}", SIMULATE, 1,
+                     "config error: panel.t_ref", id="panel-t-ref-zero"),
+        pytest.param("panel: {t_ref: -5}", SIMULATE, 1,
+                     "config error: panel.t_ref", id="panel-t-ref-negative"),
+        pytest.param("panel: {a: 3}", SIMULATE, 1,
+                     "config error: panel.a", id="panel-ideality-above-2"),
+        pytest.param("panel: {r_sh: 0}", SIMULATE, 1,
+                     "config error: panel.r_sh", id="panel-shunt-zero"),
+        pytest.param("supervisor: {soc_min_release: 0.1}", SIMULATE, 1,
+                     "config error: supervisor.soc_min_release",
+                     id="supervisor-release-below-min"),
+        pytest.param("profiles: {synthetic: {load_blocks: [[0, 24, -5]]}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.load_blocks[0]", id="block-negative-watts"),
+        pytest.param("profiles: {synthetic: {load_blocks: [[0, 8, 100], [6, 12, 200]]}}",
+                     SIMULATE, 1, "config error: profiles.synthetic.load_blocks[1]",
+                     id="blocks-overlap"),
+        pytest.param("profiles: {synthetic: {sunrise_h: 18, sunset_h: 6}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.sunrise_h",
+                     id="synthetic-sunrise-after-sunset"),
     ])
     def test_exit_code_and_name(self, yaml_text, argv, code, needle, input_files, capsys):
         tmp = str(input_files)

@@ -1,10 +1,37 @@
 """Configuration schema and validation messages."""
 
+import dataclasses
+
 import pytest
 
+from pvbatsim import pv
 from pvbatsim.config import build_sim_config, default_config, load_config_file
 from pvbatsim.errors import ConfigError
 from pvbatsim.profiles import sample
+
+
+def numeric_keys(section, path=()):
+    """Dotted paths of the numeric leaves under ``section``, ``load_blocks`` excluded."""
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from numeric_keys(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+#: Every numeric key of the default config, and each panel field a preset gives.
+NUMERIC_KEYS = sorted(
+    set(numeric_keys(default_config()))
+    | {("panel", field.name) for field in dataclasses.fields(pv.PvPanelParams)}
+)
+
+
+def nested(path, value):
+    """The config dict that sets the key at ``path`` to ``value``."""
+    data = value
+    for key in reversed(path):
+        data = {key: data}
+    return data
 
 
 class TestDefaults:
@@ -64,6 +91,17 @@ class TestValidation:
     def test_bad_profiles_shape(self):
         with pytest.raises(ConfigError, match="profiles"):
             build_sim_config({"profiles": {"wind": {"csv": "x.csv"}}})
+
+
+class TestSchema:
+    """One schema: every numeric key refuses NaN and text and names itself."""
+
+    @pytest.mark.parametrize("value", [float("nan"), "x"], ids=["nan", "text"])
+    @pytest.mark.parametrize("path", NUMERIC_KEYS, ids=".".join)
+    def test_bad_number_names_dotted_key(self, path, value):
+        with pytest.raises(ConfigError) as exc:
+            build_sim_config(nested(path, value))
+        assert str(exc.value).startswith(".".join(path) + " must be ")
 
 
 class TestShippedConfig:

@@ -3,6 +3,7 @@
 import io
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,12 +24,13 @@ def constant_profiles(g, t_c, p_load, t_end=86400.0):
     )
 
 
-def make_config(g=0.0, t_c=25.0, p_load=200.0, **kwargs):
-    base = build_sim_config()
-    irr, temp, load = constant_profiles(g, t_c, p_load)
-    from dataclasses import replace
+#: The built-in default run.
+DEFAULTS = build_sim_config()
 
-    return replace(base, irradiance=irr, temperature=temp, load=load, **kwargs)
+
+def make_config(g=0.0, t_c=25.0, p_load=200.0, **kwargs):
+    irr, temp, load = constant_profiles(g, t_c, p_load)
+    return replace(DEFAULTS, irradiance=irr, temperature=temp, load=load, **kwargs)
 
 
 class TestStepComposition:
@@ -173,31 +175,25 @@ class TestEfficiencyKnob:
 class TestProtectiveDowngrade:
     def test_charge_guard_downgrades_to_mode4(self):
         # supervisor band pushed past the voltage-law ceiling so the guard fires
-        from dataclasses import replace
-        from pvbatsim import supervisor as sup
-
         config = make_config(
             g=1000.0, p_load=50.0, t_end=5.0, initial_soc=0.994,
-            supervisor=sup.SupervisorConfig(soc_max=0.9992, soc_max_release=0.997),
+            supervisor=replace(DEFAULTS.supervisor, soc_max=0.9992, soc_max_release=0.997),
         )
         state = engine.init_state(config)
         state.bat = battery.BatteryState(soc=0.9951, q=0.5, mode_flag="charging")
-        rec = engine.step(config, state, 0.0)
+        rec = engine.step(config, state, 0.0, engine.EnergyLedger(), 0)
         assert rec.mode == 4
         assert rec.p_bat == 0.0
         assert rec.clamp_flags & engine.FLAG_PROTECTIVE
 
     def test_discharge_guard_downgrades_to_mode5(self):
-        from pvbatsim import supervisor as sup
-
         config = make_config(
             g=0.0, p_load=200.0, t_end=5.0, initial_soc=0.5,
-            supervisor=sup.SupervisorConfig(soc_min=0.001, soc_min_release=0.002,
-                                            soc_max=0.9, soc_max_release=0.85),
+            supervisor=replace(DEFAULTS.supervisor, soc_min=0.001, soc_min_release=0.002),
         )
         state = engine.init_state(config)
         state.bat = battery.BatteryState(soc=0.004, q=175.0, mode_flag="discharging")
-        rec = engine.step(config, state, 0.0)
+        rec = engine.step(config, state, 0.0, engine.EnergyLedger(), 0)
         assert rec.mode == 5
         assert rec.p_load_served == 0.0
         assert rec.clamp_flags & engine.FLAG_PROTECTIVE
@@ -241,24 +237,34 @@ class TestCsvRendering:
         assert text.endswith("\n")
 
 
+def start_state(d0=DEFAULTS.d0, delta_d=DEFAULTS.delta_d):
+    """The default run's controller start state with duty ``d0`` and step ``delta_d``."""
+    return replace(engine.init_state(DEFAULTS).mppt, d=d0, delta_d=delta_d)
+
+
+def track(kind, panel, g, t_c, n, v_bus, state=None):
+    """``run_tracking`` with the default run's controller, from ``state`` or its start."""
+    if state is None:
+        state = start_state()
+    return engine.run_tracking(kind, panel, g, t_c, n, v_bus, state, DEFAULTS.fuzzy,
+                               DEFAULTS.eta)
+
+
 class TestTrackingBench:
     def test_zero_irradiance(self):
-        from pvbatsim import pv
-
-        samples = engine.run_tracking("po", pv.GENERIC_80W, 0.0, 25.0, 50, 48.0)
+        samples = track("po", pv.GENERIC_80W, 0.0, 25.0, 50, 48.0)
         assert all(p == 0.0 for _, _, p in samples)
 
     def test_unknown_kind(self):
-        from pvbatsim import pv
-
         with pytest.raises(ConfigError):
-            engine.run_tracking("newton", pv.GENERIC_80W, 1000.0, 25.0, 10, 48.0)
+            track("newton", pv.GENERIC_80W, 1000.0, 25.0, 10, 48.0)
 
 
-def uncached_tracking(kind, panel, g_seq, t_seq, v_bus, d0=0.4, delta_d=0.005, eta=1.0):
+def uncached_tracking(kind, panel, g_seq, t_seq, v_bus, d0=DEFAULTS.d0,
+                      delta_d=DEFAULTS.delta_d, eta=DEFAULTS.eta):
     """Reference bench: one PV solve at every step, as ``run_tracking`` did before its memo."""
-    fuzzy = mppt.FuzzyConfig()
-    state = mppt.MpptState(d=d0, delta_d=delta_d)
+    fuzzy = DEFAULTS.fuzzy
+    state = start_state(d0, delta_d)
     out = []
     for g, t_c in zip(g_seq, t_seq):
         v = (1.0 - state.d) * v_bus
@@ -273,7 +279,7 @@ def uncached_tracking(kind, panel, g_seq, t_seq, v_bus, d0=0.4, delta_d=0.005, e
 
 
 #: The array of acceptance criterion 3's 500-step bench.
-TRACK_PANEL = build_sim_config().panel
+TRACK_PANEL = DEFAULTS.panel
 
 CONDITION = st.tuples(
     st.sampled_from([0.0, -0.0, 150.0, 600.0, 1000.0]) | st.floats(0.0, 1200.0),
@@ -301,10 +307,11 @@ class TestTrackingMemo:
                                    ((1000.0, 25.0), 40)],
              eta=0.95, d0=0.4, v_bus=48.0)
     def test_matches_uncached_loop(self, kind, plateaus, eta, d0, v_bus):
-        state = mppt.MpptState(d=d0)
+        state = start_state(d0)
         got = []
         for (g, t_c), n in plateaus:
-            got += engine.run_tracking(kind, TRACK_PANEL, g, t_c, n, v_bus, state=state, eta=eta)
+            got += engine.run_tracking(kind, TRACK_PANEL, g, t_c, n, v_bus, state,
+                                       DEFAULTS.fuzzy, eta)
         g = [c[0] for c, n in plateaus for _ in range(n)]
         t_c = [c[1] for c, n in plateaus for _ in range(n)]
         assert got == uncached_tracking(kind, TRACK_PANEL, g, t_c, v_bus, d0=d0, eta=eta)
@@ -324,7 +331,7 @@ class TestTrackingMemo:
 
     @pytest.mark.parametrize("kind", ["po", "flc"])
     def test_one_solve_per_distinct_voltage(self, kind, solved):
-        samples = engine.run_tracking(kind, TRACK_PANEL, 1000.0, 25.0, 500, 48.0)
+        samples = track(kind, TRACK_PANEL, 1000.0, 25.0, 500, 48.0)
         visited = {v for _, v, _ in samples}
         assert sorted(solved) == sorted(visited)
 
@@ -332,10 +339,10 @@ class TestTrackingMemo:
         # P&O steps far below the resolution of the port voltage: four duty
         # values land on three voltages. Each call solves the voltages it
         # visits once; the carried state continues the walk across calls.
-        state = mppt.MpptState(d=0.4, delta_d=6e-17)
+        state = start_state(delta_d=6e-17)
         samples = []
         for n in (12, 8):
-            plateau = engine.run_tracking("po", TRACK_PANEL, 1000.0, 25.0, n, 48.0, state=state)
+            plateau = track("po", TRACK_PANEL, 1000.0, 25.0, n, 48.0, state)
             assert sorted(solved) == sorted({v for _, v, _ in plateau})
             solved.clear()
             samples += plateau

@@ -8,6 +8,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvbatsim import engine, mppt, pv
+from pvbatsim.config import build_sim_config
+
+#: The built-in default run: its fuzzy universes and controller start state.
+DEFAULTS = build_sim_config()
+
+
+def start_state(**fields):
+    """The default run's controller start state with ``fields`` replaced."""
+    return replace(engine.init_state(DEFAULTS).mppt, **fields)
+
+
+def track(kind, panel, n, v_bus):
+    """``n`` steps of ``kind`` from the default start state at 1000 W/m2 and 25 degC."""
+    return engine.run_tracking(kind, panel, 1000.0, 25.0, n, v_bus, start_state(),
+                               DEFAULTS.fuzzy, DEFAULTS.eta)
 
 # Independent transcription of the 25-rule base (row = CE, column = E,
 # both ordered NB, NS, Z, PS, PB).
@@ -223,7 +238,7 @@ class TestFlcStepMatchesStages:
     def test_bit_identical(self, p_now, p_prev, v_prev, dv, e_prev, d, e_range, ce_range,
                            dd_range):
         config = mppt.FuzzyConfig(e_range=e_range, ce_range=ce_range, dd_range=dd_range)
-        fused, staged = (mppt.MpptState(p_prev=p_prev, v_prev=v_prev, e_prev=e_prev, d=d)
+        fused, staged = (start_state(p_prev=p_prev, v_prev=v_prev, e_prev=e_prev, d=d)
                          for _ in range(2))
         v_now = v_prev + dv
         mppt.flc_step(p_now, v_now, fused, config)
@@ -233,26 +248,26 @@ class TestFlcStepMatchesStages:
 
 class TestPoStep:
     def test_zero_delta_p_holds(self):
-        state = mppt.MpptState(p_prev=100.0, v_prev=40.0, d=0.3, direction=1)
+        state = start_state(p_prev=100.0, v_prev=40.0, d=0.3, direction=1)
         new = mppt.po_step(100.0, 41.0, state)
         assert new.d == 0.3
         assert new.direction == 1
         assert new.p_prev == 100.0 and new.v_prev == 41.0
 
     def test_rising_power_keeps_direction(self):
-        state = mppt.MpptState(p_prev=100.0, v_prev=40.0, d=0.3, direction=1)
+        state = start_state(p_prev=100.0, v_prev=40.0, d=0.3, direction=1)
         new = mppt.po_step(101.0, 40.2, state)
         assert new.direction == 1
         assert new.d == pytest.approx(0.3 + state.delta_d)
 
     def test_falling_power_reverses(self):
-        state = mppt.MpptState(p_prev=100.0, v_prev=40.0, d=0.3, direction=1)
+        state = start_state(p_prev=100.0, v_prev=40.0, d=0.3, direction=1)
         new = mppt.po_step(99.0, 40.2, state)
         assert new.direction == -1
         assert new.d == pytest.approx(0.3 - state.delta_d)
 
     def test_duty_clamped(self):
-        state = mppt.MpptState(p_prev=0.0, v_prev=0.0, d=0.0, direction=-1)
+        state = start_state(p_prev=0.0, v_prev=0.0, d=0.0, direction=-1)
         new = mppt.po_step(1.0, 1.0, state)  # dp > 0 keeps direction -1
         assert new.d == 0.0
 
@@ -273,7 +288,7 @@ class TestTracking:
 
     def test_po_converges_and_cycles(self, bench_panel, bench_mpp):
         _, p_mpp = bench_mpp
-        samples = engine.run_tracking("po", bench_panel, 1000.0, 25.0, self.N, self.V_BUS)
+        samples = track("po", bench_panel, self.N, self.V_BUS)
         mean, _ = engine.steady_stats(samples)
         assert mean >= 0.98 * p_mpp
         # steady state is a bounded cycle over at most 3 duty grid points
@@ -286,32 +301,32 @@ class TestTracking:
 
     def test_flc_converges(self, bench_panel, bench_mpp):
         _, p_mpp = bench_mpp
-        samples = engine.run_tracking("flc", bench_panel, 1000.0, 25.0, self.N, self.V_BUS)
+        samples = track("flc", bench_panel, self.N, self.V_BUS)
         mean, _ = engine.steady_stats(samples)
         assert mean >= 0.98 * p_mpp
 
     def test_flc_ripple_below_po(self, bench_panel):
-        po = engine.run_tracking("po", bench_panel, 1000.0, 25.0, self.N, self.V_BUS)
-        flc = engine.run_tracking("flc", bench_panel, 1000.0, 25.0, self.N, self.V_BUS)
+        po = track("po", bench_panel, self.N, self.V_BUS)
+        flc = track("flc", bench_panel, self.N, self.V_BUS)
         _, ripple_po = engine.steady_stats(po)
         _, ripple_flc = engine.steady_stats(flc)
         assert ripple_flc < ripple_po
 
     def test_flc_stationary_at_exact_mpp(self):
-        config = mppt.FuzzyConfig()
-        state = mppt.MpptState(p_prev=300.0, v_prev=35.0, e_prev=0.0, d=0.3)
+        config = DEFAULTS.fuzzy
+        state = start_state(p_prev=300.0, v_prev=35.0, e_prev=0.0, d=0.3)
         new = mppt.flc_step(300.0, 35.0, state, config)
         assert new.d == 0.3
 
     def test_flc_correction_larger_far_from_mpp(self, bench_panel, bench_mpp):
         v_mpp, _ = bench_mpp
-        config = mppt.FuzzyConfig()
+        config = DEFAULTS.fuzzy
 
         def correction(v0, v1):
             # two consecutive samples on the curve ending at v1
             p0 = v0 * pv.solve_operating_current(v0, 1000.0, 298.15, bench_panel)
             p1 = v1 * pv.solve_operating_current(v1, 1000.0, 298.15, bench_panel)
-            state = mppt.MpptState(p_prev=p0, v_prev=v0, e_prev=0.0, d=0.5)
+            state = start_state(p_prev=p0, v_prev=v0, e_prev=0.0, d=0.5)
             return mppt.flc_step(p1, v1, state, config).d - 0.5
 
         far = correction(10.0, 10.5)  # steep rising P-V slope
@@ -323,9 +338,9 @@ class TestTracking:
 
     def test_duty_bounds_random_inputs(self):
         rng = np.random.RandomState(13)
-        config = mppt.FuzzyConfig()
-        po = mppt.MpptState(d=0.5)
-        flc = mppt.MpptState(d=0.5)
+        config = DEFAULTS.fuzzy
+        po = start_state(d=0.5)
+        flc = start_state(d=0.5)
         for _ in range(1000):
             p = rng.uniform(0.0, 400.0)
             v = rng.uniform(0.0, 50.0)
@@ -335,9 +350,9 @@ class TestTracking:
             assert 0.0 <= flc.d <= flc.d_max
 
     def test_determinism(self, bench_panel):
-        a = engine.run_tracking("flc", bench_panel, 1000.0, 25.0, 200, self.V_BUS)
-        b = engine.run_tracking("flc", bench_panel, 1000.0, 25.0, 200, self.V_BUS)
+        a = track("flc", bench_panel, 200, self.V_BUS)
+        b = track("flc", bench_panel, 200, self.V_BUS)
         assert a == b
-        c = engine.run_tracking("po", bench_panel, 1000.0, 25.0, 200, self.V_BUS)
-        d = engine.run_tracking("po", bench_panel, 1000.0, 25.0, 200, self.V_BUS)
+        c = track("po", bench_panel, 200, self.V_BUS)
+        d = track("po", bench_panel, 200, self.V_BUS)
         assert c == d

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvbatsim import profiles
+from pvbatsim.config import build_sim_config
 from pvbatsim.errors import ConfigError, ProfileError
 
 
@@ -119,37 +120,40 @@ class TestSample:
 
 
 class TestValidation:
-    def test_non_monotone_times(self):
-        with pytest.raises(ProfileError):
-            profiles.TimeSeriesProfile((0.0, 0.0), (1.0, 2.0), "load_w")
+    def test_non_monotone_times(self, tmp_path):
+        # profiles come in through the config, which names the file's key and row
+        section = {name: {"csv": write(tmp_path, f"time_s,{column}\n0,1\n60,1\n", f"{name}.csv")}
+                   for name, column in (("irradiance", "irradiance_wm2"),
+                                        ("temperature", "temperature_c"))}
+        section["load"] = {"csv": write(tmp_path, "time_s,load_w\n0,1\n0,2\n", "load.csv")}
+        with pytest.raises(ConfigError, match=r"^profiles\.load\.csv: .*row 3: non-monotonic"):
+            build_sim_config({"profiles": section})
 
-    def test_length_mismatch(self):
-        with pytest.raises(ProfileError):
-            profiles.TimeSeriesProfile((0.0, 1.0), (1.0,), "load_w")
 
-    def test_unknown_quantity(self):
-        with pytest.raises(ProfileError):
-            profiles.TimeSeriesProfile((0.0,), (1.0,), "watts")
+def synthetic_day(**keys):
+    """``(irradiance, temperature, load)`` of the synthetic day with the given config keys."""
+    config = build_sim_config({"profiles": {"synthetic": keys}})
+    return config.irradiance, config.temperature, config.load
 
 
 class TestSyntheticDay:
     def test_degenerate_dark_day(self):
-        irr, temp, _ = profiles.synthetic_day(g_peak=0.0, t_min=15.0, t_max=35.0)
+        irr, temp, _ = synthetic_day(g_peak_wm2=0.0, t_min_c=15.0, t_max_c=35.0)
         assert all(v == 0.0 for v in irr.values)
         assert all(v == 15.0 for v in temp.values)
 
     def test_noon_peak(self):
-        irr, _, _ = profiles.synthetic_day(g_peak=1000.0)
+        irr, _, _ = synthetic_day(g_peak_wm2=1000.0)
         assert profiles.sample(irr, 12 * 3600.0) == pytest.approx(1000.0, rel=1e-9)
 
     def test_night_is_dark(self):
-        irr, _, _ = profiles.synthetic_day()
+        irr, _, _ = synthetic_day()
         for h in (0, 3, 5.9, 18.1, 23):
             assert profiles.sample(irr, h * 3600.0) == 0.0
 
     def test_half_sine_integral(self):
         g_peak, daylight_h = 1000.0, 12.0
-        irr, _, _ = profiles.synthetic_day(g_peak=g_peak)
+        irr, _, _ = synthetic_day(g_peak_wm2=g_peak)
         # trapezoid quadrature over the knot grid vs the closed form
         total = 0.0
         for k in range(len(irr.times) - 1):
@@ -159,16 +163,17 @@ class TestSyntheticDay:
         assert total == pytest.approx(expected, rel=1e-3)
 
     def test_load_blocks(self):
-        _, _, load = profiles.synthetic_day()
+        _, _, load = synthetic_day()
         assert profiles.sample(load, 2 * 3600.0) == 60.0
         assert profiles.sample(load, 7 * 3600.0) == 150.0
         assert profiles.sample(load, 20 * 3600.0) == 300.0
 
     def test_overlapping_blocks_rejected(self):
-        with pytest.raises(ConfigError, match="overlap"):
-            profiles.synthetic_day(load_blocks=[(0, 8, 100), (6, 12, 200)])
+        with pytest.raises(ConfigError, match=r"^profiles\.synthetic\.load_blocks\[1\] "
+                                              r"overlaps profiles\.synthetic\.load_blocks\[0\]"):
+            synthetic_day(load_blocks=[[0, 8, 100], [6, 12, 200]])
 
     def test_temperature_range(self):
-        _, temp, _ = profiles.synthetic_day(t_min=10.0, t_max=30.0)
+        _, temp, _ = synthetic_day(t_min_c=10.0, t_max_c=30.0)
         assert min(temp.values) == pytest.approx(10.0)
         assert max(temp.values) == pytest.approx(30.0, abs=0.1)

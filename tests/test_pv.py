@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvbatsim import _kernels, pv
-from pvbatsim.errors import DomainError
+from pvbatsim.config import build_sim_config
+from pvbatsim.errors import ConfigError, DomainError
 
 T_REF = 298.15
 G_REF = 1000.0
@@ -97,10 +98,7 @@ class TestPhotoCurrent:
 
 class TestSolveOperatingCurrent:
     def test_short_circuit_with_zero_series_resistance(self, panel):
-        flat = pv.PvPanelParams(
-            i_ph_ref=panel.i_ph_ref, i_0_ref=panel.i_0_ref, r_s=0.0,
-            r_sh=panel.r_sh, a=panel.a, n_s=panel.n_s,
-        )
+        flat = replace(panel, r_s=0.0)
         i_sc = pv.solve_operating_current(0.0, G_REF, T_REF, flat)
         # at v=0 and r_s=0 the diode and shunt terms vanish
         assert i_sc == pytest.approx(flat.i_ph_ref, abs=1e-9)
@@ -324,10 +322,12 @@ class TestSaturationCurrentLaw:
 
 
 class TestParamValidation:
+    """The panel's bounds are checked where a run's parameters come in: the config."""
+
     def test_invalid_ideality(self):
-        with pytest.raises(DomainError):
-            pv.PvPanelParams(i_ph_ref=5.0, i_0_ref=1e-8, r_s=0.1, r_sh=100.0, a=2.5, n_s=36)
+        with pytest.raises(ConfigError, match=r"^panel\.a must be <= 2"):
+            build_sim_config({"panel": {"a": 2.5}})
 
     def test_negative_shunt(self):
-        with pytest.raises(DomainError):
-            pv.PvPanelParams(i_ph_ref=5.0, i_0_ref=1e-8, r_s=0.1, r_sh=-1.0, a=1.3, n_s=36)
+        with pytest.raises(ConfigError, match=r"^panel\.r_sh must be > 0"):
+            build_sim_config({"panel": {"r_sh": -1.0}})

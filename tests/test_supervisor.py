@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pvbatsim import supervisor as sup
-from pvbatsim.errors import DomainError
+from pvbatsim.config import build_sim_config
+from pvbatsim.errors import ConfigError, DomainError
 from pvbatsim.supervisor import SupervisorMode as M
 
 # Independent transcription of the mode/switch table.
@@ -19,7 +20,7 @@ EXPECTED_SWITCHES = {
 
 @pytest.fixture
 def config():
-    return sup.SupervisorConfig()
+    return build_sim_config().supervisor
 
 
 def pick(p_pv, p_load, soc, config, state=None):
@@ -30,7 +31,7 @@ def pick(p_pv, p_load, soc, config, state=None):
 class TestSwitchTable:
     def test_exhaustive_match(self):
         for mode in M:
-            sw = sup.switch_states(mode)
+            sw = sup.SWITCH_TABLE[mode]
             assert (sw.k1, sw.k2, sw.k3) == EXPECTED_SWITCHES[int(mode)]
 
     def test_five_modes(self):
@@ -69,8 +70,10 @@ class TestSelectMode:
             pick(100.0, 200.0, 1.5, config)
 
     def test_threshold_order_validated(self):
-        with pytest.raises(DomainError):
-            sup.SupervisorConfig(soc_min=0.9, soc_max=0.2)
+        # the first threshold out of order is named: soc_min_release 0.25 < soc_min
+        with pytest.raises(ConfigError, match=r"^supervisor\.soc_min_release \(0\.25\) must "
+                                              r"be above supervisor\.soc_min \(0\.9\)"):
+            build_sim_config({"supervisor": {"soc_min": 0.9, "soc_max": 0.2}})
 
 
 class TestBatteryPowerSetpoint:
@@ -92,7 +95,7 @@ class TestBatteryPowerSetpoint:
             p_load = rng.uniform(0.0, 400.0)
             soc = rng.uniform(0.0, 1.0)
             state = sup.select_mode(p_pv, p_load, soc, state, config)
-            sw = sup.switch_states(state.mode)
+            sw = sup.SWITCH_TABLE[state.mode]
             p_bat = sup.route_power(state.mode, p_pv, p_load)[0]
             if p_bat < 0:
                 assert sw.k1  # charging requires the PV->battery path
@@ -124,7 +127,7 @@ class TestSafetyProperties:
             p_load = rng.uniform(0.0, 400.0)
             soc = rng.uniform(0.0, 1.0)
             state = sup.select_mode(p_pv, p_load, soc, state, config)
-            sw = sup.switch_states(state.mode)
+            sw = sup.SWITCH_TABLE[state.mode]
             if soc <= config.soc_min:
                 assert not sw.k3
             if soc >= config.soc_max:
@@ -138,7 +141,7 @@ class TestSafetyProperties:
                 rng.uniform(0, 1000), rng.uniform(0, 1000), rng.uniform(0, 1), state, config
             )
             assert state.mode in M
-            assert sup.switch_states(state.mode) is not None
+            assert sup.SWITCH_TABLE[state.mode] is not None
 
 
 class TestHysteresis:
