@@ -36,11 +36,6 @@ class BatteryParams:
     capacity_coeff: float
     discharge_exp: float
 
-    @property
-    def i_10(self):
-        """Current of the 10-hour discharge rate for one string [A]."""
-        return self.c_10 / 10.0
-
 
 @dataclass(slots=True)
 class BatteryState:

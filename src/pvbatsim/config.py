@@ -1,9 +1,9 @@
-"""YAML configuration: schema, defaults, validation with key-level messages.
+"""YAML configuration: one schema table, validation with key-level messages.
 
 One structured file drives a run; every section mirrors a module config.
 Unknown keys are rejected so typos fail loudly instead of silently using a
-default. This module is the one place that knows each parameter's default
-and valid range: the records it builds carry neither and trust it.
+default. Each key's default and valid range sit in one row of ``_SCHEMA``;
+the records built from it carry neither and trust it.
 """
 
 import copy
@@ -19,92 +19,91 @@ from pvbatsim.engine import SimConfig
 from pvbatsim.errors import ConfigError, ProfileError
 from pvbatsim.profiles import load_csv, synthetic_day
 
-#: Panel presets selectable as ``panel.preset``.
-PANEL_PRESETS = {"generic_80w": pv.GENERIC_80W}
+# Bounds, as keyword arguments of ``_number``.
+_ANY = {}
+_POSITIVE = {"minimum": 0, "exclusive_min": True}
+_NON_NEGATIVE = {"minimum": 0}
+_FRACTION = {"minimum": 0, "maximum": 1, "exclusive_min": True, "exclusive_max": True}
+_HOUR = {"minimum": 0, "maximum": 24}
+#: Bound of a count: a whole number >= 1, checked by ``_count``.
+_COUNT = "count"
+#: Bound of a key that is not one number: ``build_sim_config`` checks it.
+_IN_CODE = None
 
-_DEFAULTS = {
-    "simulation": {
-        "dt_s": 1.0,
-        "t_end_s": 86400.0,
-        "mppt": "flc",
-        "initial_soc": 0.8,
-        "v_bus_nominal_v": None,
-    },
-    "panel": {
-        "preset": "generic_80w",
-        "n_panels_series": 2,
-        "n_panels_parallel": 2,
-    },
-    "battery": {
-        "c_10_ah": 100.0,
-        "n_serial": 24,
-        "n_parallel": 1,
-        "delta_t_c": 0.0,
-        "capacity_coeff": 1.76,
-        "discharge_exp": 1.3,
-    },
-    "converter": {
-        "d_max": 0.95,
-        "eta": 1.0,
-    },
-    "mppt": {
-        "delta_d": 0.005,
-        "t_mppt_s": 0.1,
-        "d0": 0.4,
-        "fuzzy": {
-            "e_range": 40.0,
-            "ce_range": 40.0,
-            "dd_range": 0.01,
-        },
-    },
-    "supervisor": {
-        "soc_min": 0.20,
-        "soc_min_release": 0.25,
-        "soc_max": 0.90,
-        "soc_max_release": 0.85,
-        "p_epsilon_w": 1.0,
-    },
-    "profiles": {
-        "synthetic": {
-            "g_peak_wm2": 1000.0,
-            "t_min_c": 15.0,
-            "t_max_c": 35.0,
-            "sunrise_h": 6.0,
-            "sunset_h": 18.0,
-            "temp_lag_h": 1.0,
-            # illustrative consumption: morning and evening peaks over a small base
-            "load_blocks": [
-                [0.0, 6.0, 60.0],
-                [6.0, 9.0, 150.0],
-                [9.0, 18.0, 100.0],
-                [18.0, 22.0, 300.0],
-                [22.0, 24.0, 60.0],
-            ],
-        },
-    },
-}
+#: The schema, one row per key: (section, YAML key, record field, default, bound).
+#: A key whose default is None may be left null.
+_SCHEMA = (
+    ("simulation", "dt_s", "dt", 1.0, _POSITIVE),
+    ("simulation", "t_end_s", "t_end", 86400.0, _ANY),  # and >= dt_s
+    ("simulation", "mppt", "mppt_kind", "flc", _IN_CODE),
+    ("simulation", "initial_soc", "initial_soc", 0.8,
+     {"minimum": bat.SOC_FLOOR, "maximum": bat.SOC_CEILING,
+      "exclusive_min": True, "exclusive_max": True}),
+    # null: 2.0 V per cell of battery.n_serial
+    ("simulation", "v_bus_nominal_v", "v_bus_nominal", None, _POSITIVE),
+    # a generic 80 W / 36-cell panel: at 1000 W/m2 and 25 C it yields Isc 4.95 A,
+    # Voc 21.7 V, Vmpp 17.7 V and Pmpp 80.4 W
+    ("panel", "i_ph_ref", "i_ph_ref", 4.95, _POSITIVE),
+    ("panel", "i_0_ref", "i_0_ref", 7.0e-8, _POSITIVE),
+    ("panel", "r_s", "r_s", 0.16, _NON_NEGATIVE),
+    ("panel", "r_sh", "r_sh", 200.0, _POSITIVE),
+    ("panel", "a", "a", 1.3, {"minimum": 1, "maximum": 2}),
+    ("panel", "n_s", "n_s", 36, _COUNT),
+    ("panel", "g_ref", "g_ref", 1000.0, _POSITIVE),
+    ("panel", "t_ref", "t_ref", 298.15, _POSITIVE),
+    ("panel", "k_i", "k_i", 0.0005, _ANY),
+    ("panel", "i_0_temp_exp", "i_0_temp_exp", 0.0, _ANY),
+    ("panel", "n_panels_series", "n_panels_series", 2, _COUNT),
+    ("panel", "n_panels_parallel", "n_panels_parallel", 2, _COUNT),
+    ("battery", "c_10_ah", "c_10", 100.0, _POSITIVE),
+    ("battery", "n_serial", "n_serial", 24, _COUNT),
+    ("battery", "n_parallel", "n_parallel", 1, _COUNT),
+    # the capacity, discharge and charge laws scale by 1 + 0.005 dT, 1 - 0.007 dT
+    # and 1 - 0.025 dT: all three stay positive only inside this interval
+    ("battery", "delta_t_c", "delta_t", 0.0,
+     {"minimum": -200, "maximum": 40, "exclusive_min": True, "exclusive_max": True}),
+    ("battery", "capacity_coeff", "capacity_coeff", 1.76, _POSITIVE),
+    ("battery", "discharge_exp", "discharge_exp", 1.3, _POSITIVE),
+    ("converter", "d_max", "d_max", 0.95, {"minimum": 0, "maximum": 1, "exclusive_max": True}),
+    ("converter", "eta", "eta", 1.0, {"minimum": 0, "maximum": 1, "exclusive_min": True}),
+    ("mppt", "delta_d", "delta_d", 0.005, _POSITIVE),
+    ("mppt", "t_mppt_s", "t_mppt", 0.1, _POSITIVE),
+    ("mppt", "d0", "d0", 0.4, _NON_NEGATIVE),  # and <= converter.d_max
+    ("mppt.fuzzy", "e_range", "e_range", 40.0, _POSITIVE),
+    ("mppt.fuzzy", "ce_range", "ce_range", 40.0, _POSITIVE),
+    ("mppt.fuzzy", "dd_range", "dd_range", 0.01, _POSITIVE),
+    # and soc_min < soc_min_release < soc_max_release < soc_max
+    ("supervisor", "soc_min", "soc_min", 0.20, _FRACTION),
+    ("supervisor", "soc_min_release", "soc_min_release", 0.25, _FRACTION),
+    ("supervisor", "soc_max", "soc_max", 0.90, _FRACTION),
+    ("supervisor", "soc_max_release", "soc_max_release", 0.85, _FRACTION),
+    ("supervisor", "p_epsilon_w", "p_epsilon", 1.0, _POSITIVE),
+    ("profiles.synthetic", "g_peak_wm2", "g_peak", 1000.0, _NON_NEGATIVE),
+    # the day's coldest value is t_min_c, so absolute zero bounds the whole profile
+    ("profiles.synthetic", "t_min_c", "t_min", 15.0, {"minimum": -273.15, "exclusive_min": True}),
+    ("profiles.synthetic", "t_max_c", "t_max", 35.0, _ANY),  # and >= t_min_c
+    ("profiles.synthetic", "sunrise_h", "sunrise_h", 6.0, _HOUR),  # and < sunset_h
+    ("profiles.synthetic", "sunset_h", "sunset_h", 18.0, _HOUR),
+    ("profiles.synthetic", "temp_lag_h", "temp_lag_h", 1.0, _ANY),
+    # illustrative consumption: morning and evening peaks over a small base
+    ("profiles.synthetic", "load_blocks", "load_blocks",
+     [[0.0, 6.0, 60.0], [6.0, 9.0, 150.0], [9.0, 18.0, 100.0], [18.0, 22.0, 300.0],
+      [22.0, 24.0, 60.0]], _IN_CODE),
+)
 
-#: ``PvPanelParams`` field -> bounds for ``_number``, or None for a count.
-#: A preset gives every field; a key beside ``panel.preset`` overrides one.
-_PANEL_FIELDS = {
-    "i_ph_ref": {"minimum": 0, "exclusive_min": True},
-    "i_0_ref": {"minimum": 0, "exclusive_min": True},
-    "r_s": {"minimum": 0},
-    "r_sh": {"minimum": 0, "exclusive_min": True},
-    "a": {"minimum": 1, "maximum": 2},
-    "n_s": None,
-    "g_ref": {"minimum": 0, "exclusive_min": True},
-    "t_ref": {"minimum": 0, "exclusive_min": True},
-    "k_i": {},
-    "i_0_temp_exp": {},
-    "n_panels_series": None,
-    "n_panels_parallel": None,
-}
+_SECTIONS = tuple(dict.fromkeys(row[0] for row in _SCHEMA))
+_TOP_LEVEL = {section.split(".")[0] for section in _SECTIONS}
 
 
 def default_config():
-    """Deep copy of the built-in default configuration dict."""
-    return copy.deepcopy(_DEFAULTS)
+    """The built-in default configuration, as a fresh nested dict."""
+    config = {}
+    for section, key, _, default, _ in _SCHEMA:
+        node = config
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = copy.deepcopy(default)
+    return config
 
 
 def load_config_file(path):
@@ -121,34 +120,6 @@ def load_config_file(path):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return data
-
-
-# sections whose keys are validated downstream, not against the defaults dict
-_FREE_FORM = ("profiles", "panel")
-
-
-def _merge(base, override, path=""):
-    """Merge override into the defaults, refusing keys the schema lacks."""
-    merged = {}
-    for key, default_value in base.items():
-        if key in override:
-            value = override[key]
-            if isinstance(default_value, dict) and key not in _FREE_FORM:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{path}{key} must be a mapping")
-                merged[key] = _merge(default_value, value, f"{path}{key}.")
-            elif key == "panel":
-                if not isinstance(value, dict):
-                    raise ConfigError("panel must be a mapping")
-                merged[key] = {**copy.deepcopy(default_value), **value}
-            else:
-                merged[key] = value
-        else:
-            merged[key] = copy.deepcopy(default_value)
-    for key in override:
-        if key not in base:
-            raise ConfigError(f"unknown config key '{path}{key}'")
-    return merged
 
 
 def _number(section, key, value, minimum=None, maximum=None,
@@ -173,37 +144,31 @@ def _count(section, key, value):
     return int(v)
 
 
-def _build_panel(section):
-    preset_name = section["preset"]
-    if not isinstance(preset_name, str) or preset_name not in PANEL_PRESETS:
-        raise ConfigError(
-            f"panel.preset {preset_name!r} unknown; available: {sorted(PANEL_PRESETS)}"
-        )
-    for key in section:
-        if key != "preset" and key not in _PANEL_FIELDS:
-            raise ConfigError(f"unknown config key 'panel.{key}'")
-    preset = PANEL_PRESETS[preset_name]
-    fields = {}
-    for key, bounds in _PANEL_FIELDS.items():
-        value = section.get(key, getattr(preset, key))
-        if bounds is None:
-            fields[key] = _count("panel", key, value)
+def _checked(path, given):
+    """The table's keys at section ``path``: record field -> checked value.
+
+    Defaults fill in what ``given`` leaves out. A subsection such as
+    ``mppt.fuzzy`` is checked by its own call.
+    """
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path} must be a mapping")
+    rows = [row for row in _SCHEMA if row[0] == path]
+    known = {row[1] for row in rows}
+    known |= {s.rpartition(".")[2] for s in _SECTIONS if s.rpartition(".")[0] == path}
+    for key in given:
+        if key not in known:
+            raise ConfigError(f"unknown config key '{path}.{key}'")
+    values = {}
+    for _, key, field, default, bound in rows:
+        value = given.get(key, default)
+        if bound is _COUNT:
+            values[field] = _count(path, key, value)
+        elif bound is _IN_CODE or (value is None and default is None):
+            values[field] = value
         else:
-            fields[key] = _number("panel", key, value, **bounds)
-    return pv.PvPanelParams(**fields)
+            values[field] = _number(path, key, value, **bound)
+    return values
 
-
-#: ``profiles.synthetic`` key -> (``synthetic_day`` parameter, bounds for ``_number``).
-#: The day's coldest value is ``t_min_c``, so its bound of absolute zero
-#: covers the whole temperature profile.
-_SYNTHETIC_KEYS = {
-    "g_peak_wm2": ("g_peak", {"minimum": 0}),
-    "t_min_c": ("t_min", {"minimum": -273.15, "exclusive_min": True}),
-    "t_max_c": ("t_max", {}),
-    "sunrise_h": ("sunrise_h", {"minimum": 0, "maximum": 24}),
-    "sunset_h": ("sunset_h", {"minimum": 0, "maximum": 24}),
-    "temp_lag_h": ("temp_lag_h", {}),
-}
 
 _PROFILE_COLUMNS = {"irradiance": "irradiance_wm2", "temperature": "temperature_c",
                     "load": "load_w"}
@@ -211,18 +176,8 @@ _PROFILE_COLUMNS = {"irradiance": "irradiance_wm2", "temperature": "temperature_
 
 def _build_synthetic(syn):
     section = "profiles.synthetic"
-    if not isinstance(syn, dict):
-        raise ConfigError(f"{section} must be a mapping")
-    kwargs = {}
-    # the defaults fill in, so the cross-key check below sees both ends
-    for key, value in {**_DEFAULTS["profiles"]["synthetic"], **syn}.items():
-        if key == "load_blocks":
-            kwargs["load_blocks"] = _load_blocks(value)
-        elif key in _SYNTHETIC_KEYS:
-            name, bounds = _SYNTHETIC_KEYS[key]
-            kwargs[name] = _number(section, key, value, **bounds)
-        else:
-            raise ConfigError(f"unknown config key '{section}.{key}'")
+    kwargs = _checked(section, syn)
+    kwargs["load_blocks"] = _load_blocks(kwargs["load_blocks"])
     if kwargs["t_min"] > kwargs["t_max"]:
         raise ConfigError(f"{section}.t_min_c must be <= {section}.t_max_c, "
                           f"got {kwargs['t_min']:g} > {kwargs['t_max']:g}")
@@ -288,59 +243,31 @@ _SOC_CHAIN = ("soc_min", "soc_min_release", "soc_max_release", "soc_max")
 
 
 def build_sim_config(data=None, mppt_override=None):
-    """Validate a config dict (merged over the defaults) into a SimConfig."""
-    merged = _merge(_DEFAULTS, data or {})
+    """Validate a config dict, the table's defaults filled in, into a SimConfig."""
+    data = data or {}
+    for key in data:
+        if key not in _TOP_LEVEL:
+            raise ConfigError(f"unknown config key '{key}'")
 
-    sim = merged["simulation"]
-    dt = _number("simulation", "dt_s", sim["dt_s"], minimum=0, exclusive_min=True)
-    t_end = _number("simulation", "t_end_s", sim["t_end_s"], minimum=dt)
-    mppt_kind = mppt_override or sim["mppt"]
-    if mppt_kind not in ("po", "flc"):
-        raise ConfigError(f"simulation.mppt must be 'po' or 'flc', got {mppt_kind!r}")
-    initial_soc = _number("simulation", "initial_soc", sim["initial_soc"],
-                          minimum=bat.SOC_FLOOR, maximum=bat.SOC_CEILING,
-                          exclusive_min=True, exclusive_max=True)
+    sim = _checked("simulation", data.get("simulation", {}))
+    if sim["t_end"] < sim["dt"]:
+        raise ConfigError(f"simulation.t_end_s must be >= {sim['dt']}")
+    sim["mppt_kind"] = mppt_override or sim["mppt_kind"]
+    if sim["mppt_kind"] not in ("po", "flc"):
+        raise ConfigError(f"simulation.mppt must be 'po' or 'flc', got {sim['mppt_kind']!r}")
 
-    panel = _build_panel(merged["panel"])
+    panel = pv.PvPanelParams(**_checked("panel", data.get("panel", {})))
+    battery = bat.BatteryParams(**_checked("battery", data.get("battery", {})))
+    if sim["v_bus_nominal"] is None:
+        sim["v_bus_nominal"] = 2.0 * battery.n_serial
 
-    b = merged["battery"]
-    battery = bat.BatteryParams(
-        c_10=_number("battery", "c_10_ah", b["c_10_ah"], minimum=0, exclusive_min=True),
-        n_serial=_count("battery", "n_serial", b["n_serial"]),
-        n_parallel=_count("battery", "n_parallel", b["n_parallel"]),
-        delta_t=_number("battery", "delta_t_c", b["delta_t_c"]),
-        capacity_coeff=_number("battery", "capacity_coeff", b["capacity_coeff"],
-                               minimum=0, exclusive_min=True),
-        discharge_exp=_number("battery", "discharge_exp", b["discharge_exp"],
-                              minimum=0, exclusive_min=True),
-    )
-    v_bus_nominal = sim["v_bus_nominal_v"]
-    if v_bus_nominal is None:
-        v_bus_nominal = 2.0 * battery.n_serial
-    else:
-        v_bus_nominal = _number("simulation", "v_bus_nominal_v", v_bus_nominal,
-                                minimum=0, exclusive_min=True)
+    converter = _checked("converter", data.get("converter", {}))
+    mppt = _checked("mppt", data.get("mppt", {}))
+    if mppt["d0"] > converter["d_max"]:
+        raise ConfigError(f"mppt.d0 must be <= {converter['d_max']}")
+    fuzzy = mp.FuzzyConfig(**_checked("mppt.fuzzy", data.get("mppt", {}).get("fuzzy", {})))
 
-    conv = merged["converter"]
-    d_max = _number("converter", "d_max", conv["d_max"], minimum=0, maximum=1,
-                    exclusive_max=True)
-    eta = _number("converter", "eta", conv["eta"], minimum=0, maximum=1,
-                  exclusive_min=True)
-
-    m = merged["mppt"]
-    delta_d = _number("mppt", "delta_d", m["delta_d"], minimum=0, exclusive_min=True)
-    t_mppt = _number("mppt", "t_mppt_s", m["t_mppt_s"], minimum=0, exclusive_min=True)
-    d0 = _number("mppt", "d0", m["d0"], minimum=0, maximum=d_max)
-    f = m["fuzzy"]
-    fuzzy = mp.FuzzyConfig(
-        e_range=_number("mppt.fuzzy", "e_range", f["e_range"], minimum=0, exclusive_min=True),
-        ce_range=_number("mppt.fuzzy", "ce_range", f["ce_range"], minimum=0, exclusive_min=True),
-        dd_range=_number("mppt.fuzzy", "dd_range", f["dd_range"], minimum=0, exclusive_min=True),
-    )
-
-    s = merged["supervisor"]
-    socs = {key: _number("supervisor", key, s[key], minimum=0, maximum=1,
-                         exclusive_min=True, exclusive_max=True) for key in _SOC_CHAIN}
+    socs = _checked("supervisor", data.get("supervisor", {}))
     for lower, upper in zip(_SOC_CHAIN, _SOC_CHAIN[1:]):
         if socs[upper] <= socs[lower]:
             raise ConfigError(
@@ -348,30 +275,18 @@ def build_sim_config(data=None, mppt_override=None):
                 f"({socs[lower]:g}): the thresholds must satisfy 0 < soc_min "
                 "< soc_min_release < soc_max_release < soc_max < 1"
             )
-    supervisor = sup.SupervisorConfig(
-        **socs,
-        p_epsilon=_number("supervisor", "p_epsilon_w", s["p_epsilon_w"],
-                          minimum=0, exclusive_min=True),
-    )
 
-    irradiance, temperature, load = _build_profiles(merged["profiles"])
+    irradiance, temperature, load = _build_profiles(data.get("profiles", {"synthetic": {}}))
 
     return SimConfig(
         panel=panel,
         battery=battery,
-        supervisor=supervisor,
+        supervisor=sup.SupervisorConfig(**socs),
         fuzzy=fuzzy,
         irradiance=irradiance,
         temperature=temperature,
         load=load,
-        dt=dt,
-        t_end=t_end,
-        mppt_kind=mppt_kind,
-        d0=d0,
-        delta_d=delta_d,
-        t_mppt=t_mppt,
-        d_max=d_max,
-        eta=eta,
-        v_bus_nominal=v_bus_nominal,
-        initial_soc=initial_soc,
+        **sim,
+        **converter,
+        **mppt,
     )

@@ -95,14 +95,6 @@ def load_csv(path, column):
     return TimeSeriesProfile(tuple(times), tuple(values), column)
 
 
-def write_csv(profile, path):
-    """Write a profile back to the two-column CSV schema (bit-exact values)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"time_s,{profile.quantity}\n")
-        for t, v in zip(profile.times, profile.values):
-            fh.write(f"{t!r},{v!r}\n")
-
-
 def synthetic_day(g_peak, t_min, t_max, load_blocks, sunrise_h, sunset_h, temp_lag_h):
     """Synthesize one day: half-sine irradiance, lagged temperature, block load.
 

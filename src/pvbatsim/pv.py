@@ -85,25 +85,6 @@ class PvOperatingPoint:
     p_pv: float
 
 
-#: Generic 80 W / 36-cell panel used when no datasheet is configured.
-#: At 1000 W/m2 and 25 C it yields Isc 4.95 A, Voc 21.7 V, Vmpp 17.7 V,
-#: Pmpp 80.4 W.
-GENERIC_80W = PvPanelParams(
-    i_ph_ref=4.95,
-    i_0_ref=7.0e-8,
-    r_s=0.16,
-    r_sh=200.0,
-    a=1.3,
-    n_s=36,
-    g_ref=1000.0,
-    t_ref=298.15,
-    k_i=0.0005,
-    i_0_temp_exp=0.0,
-    n_panels_series=1,
-    n_panels_parallel=1,
-)
-
-
 def _panel_terms(g, t_j, params):
     """Photocurrent, saturation current and thermal voltage of one panel.
 

@@ -51,7 +51,7 @@ class TestCapacity:
     def test_at_ten_hour_rate(self, params):
         # direct evaluation: both correction factors explicit
         expected = 100.0 * 1.76 / 1.67
-        assert battery.capacity(params.i_10, 0.0, params) == pytest.approx(
+        assert battery.capacity(params.c_10 / 10, 0.0, params) == pytest.approx(
             expected, rel=1e-12
         )
         assert expected == pytest.approx(105.38922155688623, rel=1e-12)
@@ -60,8 +60,8 @@ class TestCapacity:
         assert battery.capacity(0.0, 0.0, params) == pytest.approx(176.0, rel=1e-12)
 
     def test_decreasing_in_current(self, params):
-        assert battery.capacity(2 * params.i_10, 0.0, params) < battery.capacity(
-            params.i_10, 0.0, params
+        assert battery.capacity(2 * params.c_10 / 10, 0.0, params) < battery.capacity(
+            params.c_10 / 10, 0.0, params
         )
 
     def test_increasing_in_temperature(self, params):
@@ -70,7 +70,7 @@ class TestCapacity:
     def test_matches_oracle_over_domain(self, params):
         rng = np.random.RandomState(42)
         for _ in range(200):
-            i = rng.uniform(0.0, 3 * params.i_10)
+            i = rng.uniform(0.0, 3 * params.c_10 / 10)
             dt = rng.uniform(-10.0, 25.0)
             assert battery.capacity(i, dt, params) == pytest.approx(
                 capacity_line(i, dt, params.c_10), rel=1e-12
@@ -208,7 +208,7 @@ class TestSocUpdate:
     def test_full_discharge_reaches_zero(self, params):
         # oracle: fixed point of i = capacity(i) / 10 makes a 10 h discharge
         # remove exactly the available capacity
-        i = params.i_10
+        i = params.c_10 / 10
         for _ in range(200):
             i = capacity_line(i, 0.0, params.c_10) / 10.0
         state = battery.BatteryState(soc=1.0, q=0.0)

@@ -510,8 +510,8 @@ class TestBadInputs:
         pytest.param(None, IV_CURVE + ["--t", "nan"], 1, "--t", id="iv-t-nan"),
         pytest.param(None, IV_CURVE + ["--t", "-300"], 1, "--t", id="iv-t-below-zero-k"),
         pytest.param(None, IV_CURVE + ["--t", "200.5"], 1, "--t", id="iv-t-above-max"),
-        pytest.param("panel: {preset: [a]}", SIMULATE, 1,
-                     "config error: panel.preset", id="preset-not-string"),
+        pytest.param("panel: {preset: generic_80w}", SIMULATE, 1,
+                     "config error: unknown config key 'panel.preset'", id="preset-not-string"),
         pytest.param("battery: {c_10_ah: -1}", SIMULATE, 1,
                      "config error: battery.c_10_ah", id="battery-single-prefix"),
         pytest.param("mppt: {fuzzy: {e_range: -1}}", SIMULATE, 1,
@@ -540,6 +540,15 @@ class TestBadInputs:
                      "config error: panel.a", id="panel-ideality-above-2"),
         pytest.param("panel: {r_sh: 0}", SIMULATE, 1,
                      "config error: panel.r_sh", id="panel-shunt-zero"),
+        # the battery's temperature factors change sign outside -200 < delta_t_c < 40
+        pytest.param("battery: {delta_t_c: 1.0e+6}", SIMULATE, 1,
+                     "config error: battery.delta_t_c", id="delta-t-huge"),
+        pytest.param("battery: {delta_t_c: -250.0}", SIMULATE, 1,
+                     "config error: battery.delta_t_c", id="delta-t-below-range"),
+        pytest.param("battery: {delta_t_c: 40.0}", SIMULATE, 1,
+                     "config error: battery.delta_t_c", id="delta-t-at-max"),
+        pytest.param("battery: {delta_t_c: -200.0}", SIMULATE, 1,
+                     "config error: battery.delta_t_c", id="delta-t-at-min"),
         pytest.param("supervisor: {soc_min_release: 0.1}", SIMULATE, 1,
                      "config error: supervisor.soc_min_release",
                      id="supervisor-release-below-min"),

@@ -1,10 +1,9 @@
 """Configuration schema and validation messages."""
 
-import dataclasses
+import pathlib
 
 import pytest
 
-from pvbatsim import pv
 from pvbatsim.config import build_sim_config, default_config, load_config_file
 from pvbatsim.errors import ConfigError
 from pvbatsim.profiles import sample
@@ -19,11 +18,8 @@ def numeric_keys(section, path=()):
             yield path + (key,)
 
 
-#: Every numeric key of the default config, and each panel field a preset gives.
-NUMERIC_KEYS = sorted(
-    set(numeric_keys(default_config()))
-    | {("panel", field.name) for field in dataclasses.fields(pv.PvPanelParams)}
-)
+#: Every numeric key of the default config.
+NUMERIC_KEYS = sorted(numeric_keys(default_config()))
 
 
 def nested(path, value):
@@ -72,8 +68,8 @@ class TestValidation:
         assert config.mppt_kind == "po"
 
     def test_unknown_panel_preset(self):
-        with pytest.raises(ConfigError, match="preset"):
-            build_sim_config({"panel": {"preset": "mystery_panel"}})
+        with pytest.raises(ConfigError, match=r"^unknown config key 'panel\.preset'$"):
+            build_sim_config({"panel": {"preset": "generic_80w"}})
 
     def test_panel_field_override(self):
         config = build_sim_config({"panel": {"r_s": 0.2, "n_panels_parallel": 3}})
@@ -104,12 +100,20 @@ class TestSchema:
         assert str(exc.value).startswith(".".join(path) + " must be ")
 
 
-class TestShippedConfig:
-    def test_matches_builtin_defaults(self):
-        import pathlib
+def key_tree(section):
+    """The nested keys of a config dict, its leaf values left out."""
+    return {key: key_tree(value) if isinstance(value, dict) else None
+            for key, value in section.items()}
 
-        path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
-        assert build_sim_config(load_config_file(str(path))) == build_sim_config()
+
+class TestShippedConfig:
+    PATH = str(pathlib.Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+
+    def test_matches_builtin_defaults(self):
+        assert build_sim_config(load_config_file(self.PATH)) == build_sim_config()
+
+    def test_names_every_key(self):
+        assert key_tree(load_config_file(self.PATH)) == key_tree(default_config())
 
 
 class TestYamlLoading:

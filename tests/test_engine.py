@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvbatsim import battery, engine, mppt, profiles, pv
+from pvbatsim import battery, engine, mppt, pv
 from pvbatsim.config import build_sim_config
 from pvbatsim.errors import ConfigError
 from pvbatsim.profiles import TimeSeriesProfile
+from test_profiles import write_csv
 
 
 def constant_profiles(g, t_c, p_load, t_end=86400.0):
@@ -148,7 +149,7 @@ class TestLedgerClosureProperty:
             for name, prof in (("irradiance", irradiance), ("temperature", temperature),
                                ("load", load)):
                 path = os.path.join(tmp, f"{name}.csv")
-                profiles.write_csv(prof, path)
+                write_csv(prof, path)
                 section[name] = {"csv": path}
             config = build_sim_config({
                 "simulation": {"t_end_s": t_end_s, "mppt": mppt, "initial_soc": initial_soc},
@@ -251,13 +252,15 @@ def track(kind, panel, g, t_c, n, v_bus, state=None):
 
 
 class TestTrackingBench:
+    PANEL = replace(DEFAULTS.panel, n_panels_series=1, n_panels_parallel=1)
+
     def test_zero_irradiance(self):
-        samples = track("po", pv.GENERIC_80W, 0.0, 25.0, 50, 48.0)
+        samples = track("po", self.PANEL, 0.0, 25.0, 50, 48.0)
         assert all(p == 0.0 for _, _, p in samples)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            track("newton", pv.GENERIC_80W, 1000.0, 25.0, 10, 48.0)
+            track("newton", self.PANEL, 1000.0, 25.0, 10, 48.0)
 
 
 def uncached_tracking(kind, panel, g_seq, t_seq, v_bus, d0=DEFAULTS.d0,

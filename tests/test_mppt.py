@@ -274,7 +274,7 @@ class TestPoStep:
 
 @pytest.fixture(scope="module")
 def bench_panel():
-    return replace(pv.GENERIC_80W, n_panels_series=2, n_panels_parallel=2)
+    return DEFAULTS.panel
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,14 @@ def write(tmp_path, text, name="profile.csv"):
     return str(path)
 
 
+def write_csv(profile, path):
+    """Write a profile in the two-column CSV schema, each value as ``repr`` (bit-exact)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"time_s,{profile.quantity}\n")
+        for t, v in zip(profile.times, profile.values):
+            fh.write(f"{t!r},{v!r}\n")
+
+
 class TestLoadCsv:
     def test_minimal_two_rows(self, tmp_path):
         path = write(tmp_path, "time_s,irradiance_wm2\n0,0\n3600,1000\n")
@@ -58,7 +66,7 @@ class TestLoadCsv:
         path = write(tmp_path, "time_s,load_w\n0.0,60.5\n21600.37,150.125\n86400.0,0.001\n")
         prof = profiles.load_csv(path, "load_w")
         out = str(tmp_path / "out.csv")
-        profiles.write_csv(prof, out)
+        write_csv(prof, out)
         again = profiles.load_csv(out, "load_w")
         assert again.times == prof.times
         assert again.values == prof.values
@@ -88,7 +96,7 @@ class TestCsvRoundTrip:
         quantity, rows = case
         times, values = (tuple(column) for column in zip(*rows))
         path = str(tmp_path_factory.mktemp("round_trip") / "profile.csv")
-        profiles.write_csv(profiles.TimeSeriesProfile(times, values, quantity), path)
+        write_csv(profiles.TimeSeriesProfile(times, values, quantity), path)
         again = profiles.load_csv(path, quantity)
         assert [t.hex() for t in again.times] == [t.hex() for t in times]
         assert [v.hex() for v in again.values] == [v.hex() for v in values]

@@ -26,6 +26,10 @@ def layout(params, n_series, n_parallel):
     return replace(params, n_panels_series=n_series, n_panels_parallel=n_parallel)
 
 
+#: One panel of the default config's 2 x 2 array.
+PANEL = layout(build_sim_config().panel, 1, 1)
+
+
 def brute_force_mpp(g, t_j, params):
     """Reference maximum power point that does not rely on concavity over [0, Voc].
 
@@ -67,7 +71,7 @@ def brute_force_mpp(g, t_j, params):
 
 @pytest.fixture
 def panel():
-    return pv.GENERIC_80W
+    return PANEL
 
 
 @pytest.fixture
@@ -257,7 +261,7 @@ class TestBlockingDiodeClamp:
     @example(shape=(2, 2), g=1200.0, t_c=-15.0, frac=3.0)
     def test_matches_solve_then_clamp(self, shape, g, t_c, frac):
         # voltages up to 3x the open-circuit voltage of the brightest panel
-        params = layout(pv.GENERIC_80W, *shape)
+        params = layout(PANEL, *shape)
         t_j = t_c + 273.15
         v_pv = frac * pv.open_circuit_voltage(1200.0, t_j, params)
         assert pv.operating_point(v_pv, g, t_j, params) == solve_then_clamp(v_pv, g, t_j, params)
