@@ -28,8 +28,9 @@ def _safe_exp(x):
 
 def diode_residual(i, v, i_ph, i_0, r_s, r_sh, vt):
     """Residual of the implicit panel equation at current ``i`` (amps)."""
-    arg = (v + r_s * i) / vt
-    return i_ph - i_0 * (_safe_exp(arg) - 1.0) - (v + r_s * i) / r_sh - i
+    x = v + r_s * i
+    arg = x / vt
+    return i_ph - i_0 * (math.exp(_EXP_CAP if arg > _EXP_CAP else arg) - 1.0) - x / r_sh - i
 
 
 def solve_diode_current(v, i_ph, i_0, r_s, r_sh, vt):

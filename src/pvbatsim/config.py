@@ -51,8 +51,10 @@ _SCHEMA = (
     ("panel", "n_s", "n_s", 36, _COUNT),
     ("panel", "g_ref", "g_ref", 1000.0, _POSITIVE),
     ("panel", "t_ref", "t_ref", 298.15, _POSITIVE),
+    # and 1 + k_i * (t_j - t_ref) > 0 over the temperature profile
     ("panel", "k_i", "k_i", 0.0005, _ANY),
-    ("panel", "i_0_temp_exp", "i_0_temp_exp", 0.0, _ANY),
+    # the classical saturation-current law uses 3
+    ("panel", "i_0_temp_exp", "i_0_temp_exp", 0.0, {"minimum": -10, "maximum": 10}),
     ("panel", "n_panels_series", "n_panels_series", 2, _COUNT),
     ("panel", "n_panels_parallel", "n_panels_parallel", 2, _COUNT),
     ("battery", "c_10_ah", "c_10", 100.0, _POSITIVE),
@@ -63,7 +65,9 @@ _SCHEMA = (
     ("battery", "delta_t_c", "delta_t", 0.0,
      {"minimum": -200, "maximum": 40, "exclusive_min": True, "exclusive_max": True}),
     ("battery", "capacity_coeff", "capacity_coeff", 1.76, _POSITIVE),
-    ("battery", "discharge_exp", "discharge_exp", 1.3, _POSITIVE),
+    # printed as 1.3 and as 1.8
+    ("battery", "discharge_exp", "discharge_exp", 1.3,
+     {"minimum": 0, "maximum": 10, "exclusive_min": True}),
     ("converter", "d_max", "d_max", 0.95, {"minimum": 0, "maximum": 1, "exclusive_max": True}),
     ("converter", "eta", "eta", 1.0, {"minimum": 0, "maximum": 1, "exclusive_min": True}),
     ("mppt", "delta_d", "delta_d", 0.005, _POSITIVE),
@@ -277,6 +281,14 @@ def build_sim_config(data=None, mppt_override=None):
             )
 
     irradiance, temperature, load = _build_profiles(data.get("profiles", {"synthetic": {}}))
+    # temperature samples interpolate between knots, so the extreme knots bound them
+    for t_c in (min(temperature.values), max(temperature.values)):
+        if 1.0 + panel.k_i * (t_c + 273.15 - panel.t_ref) <= 0.0:
+            raise ConfigError(
+                f"panel.k_i ({panel.k_i:g}) makes the photocurrent factor "
+                f"1 + k_i * (t_j - t_ref) <= 0 at {t_c:g} degC, which the temperature "
+                "profile reaches"
+            )
 
     return SimConfig(
         panel=panel,

@@ -3,7 +3,7 @@
 Each step samples the environment, lets the due MPPT controller move the
 duty cycle based on the previous measurement, solves the PV operating point
 against the (lagged) bus voltage, asks the supervisor for a mode, routes
-power, solves the battery current and updates the SOC. One record per step;
+power, solves the battery current and updates the SOC. One row per step;
 an energy ledger accumulates alongside and must close at the end.
 
 Bus model: the DC bus is pinned to the battery terminal voltage whenever a
@@ -16,20 +16,20 @@ converter loss in e_loss, so the closure identity holds for any efficiency.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from pvbatsim import battery as bat
+from pvbatsim import converter
 from pvbatsim import mppt as mp
 from pvbatsim import pv
 from pvbatsim import supervisor as sup
-from pvbatsim.converter import pv_port_voltage
 from pvbatsim.errors import (
     ConfigError,
     ConvergenceError,
     InvariantViolation,
     SingularityGuardError,
 )
-from pvbatsim.profiles import TimeSeriesProfile, sample
-from pvbatsim.supervisor import SupervisorMode
+from pvbatsim.profiles import TimeSeriesProfile, cursor
 
 #: Relative tolerance of the per-record power balance and the ledger closure.
 BALANCE_TOL = 1e-6
@@ -88,9 +88,8 @@ class SimConfig:
         return max(1, round(self.t_mppt / self.dt))
 
 
-@dataclass(slots=True)
-class SimRecord:
-    """One output row; field order is the CSV column order."""
+class SimRecord(NamedTuple):
+    """One output row with named fields; field order is the CSV column order."""
 
     t: float
     g: float
@@ -145,13 +144,13 @@ class EnergyLedger:
 
 @dataclass
 class EngineState:
-    """Per-run state; each step updates it and its component states in place."""
+    """Per-run state: the step loop updates the component states in place and
+    writes the other fields back when it stops."""
 
     bat: bat.BatteryState
     mppt: mp.MpptState
     sup: sup.SupervisorState
     v_bus: float
-    mppt_every: int  # SimConfig.mppt_every, worked out once per run
     p_meas: float = 0.0
     v_meas: float = 0.0
     have_meas: bool = False
@@ -163,132 +162,156 @@ def init_state(config):
     mppt_state = mp.MpptState(d=config.d0, delta_d=config.delta_d, d_max=config.d_max)
     sup_state = sup.SupervisorState()
     v_bus = bat.terminal_voltage(battery_state, 0.0, config.battery)
-    return EngineState(bat=battery_state, mppt=mppt_state, sup=sup_state, v_bus=v_bus,
-                       mppt_every=config.mppt_every)
+    return EngineState(bat=battery_state, mppt=mppt_state, sup=sup_state, v_bus=v_bus)
 
 
 def step(config, state, t, ledger, step_index):
     """Advance one step at time ``t``, updating ``state`` and ``ledger`` in place.
 
-    Returns the step's record; ``step_index`` names the step in errors.
+    Returns the step's record; ``step_index`` names the step in errors. The
+    step runs through the loop of :func:`steps`.
+    """
+    (row,) = _loop(config, state, ledger, step_index, (t,))
+    return SimRecord(*row)
+
+
+def steps(config, ledger):
+    """Yield the run's rows one step at a time, accumulating energy into ``ledger``.
+
+    Each row is a plain tuple in CSV column order (the fields of
+    :class:`SimRecord`). Nothing is kept between rows, so a consumer that
+    writes each row as it arrives runs in memory that does not grow with the
+    step count.
+    """
+    dt = config.dt
+    return _loop(config, init_state(config), ledger, 0,
+                 (k * dt for k in range(config.n_steps)))
+
+
+def _loop(config, state, ledger, first, times):
+    """The step loop: one row per time in ``times``, the first numbered ``first``.
+
+    The loop only orchestrates: every model rule is one call into its
+    module. The run's constants and the step state live in locals, and go
+    back into ``state`` and ``ledger`` when the loop ends, fails or is closed.
 
     Solver failures abort with the step index attached; battery singularity
     guards downgrade to a protective mode (4 while charging, 5 while
     discharging) instead of aborting.
     """
-    g = sample(config.irradiance, t)
-    t_amb = sample(config.temperature, t)
-    p_load = sample(config.load, t)
-    t_j = t_amb + 273.15
-    mppt_state = state.mppt
-    bat_state = state.bat
-    sup_state = state.sup
+    panel = config.panel
     battery = config.battery
+    supervisor = config.supervisor
+    fuzzy = config.fuzzy
+    eta = config.eta
+    v_bus_nominal = config.v_bus_nominal
     dt_h = config.dt / 3600.0
-
-    state.steps_since_mppt += 1
-    if state.have_meas and state.steps_since_mppt >= state.mppt_every:
-        if config.mppt_kind == "po":
-            mp.po_step(state.p_meas, state.v_meas, mppt_state)
-        else:
-            mp.flc_step(state.p_meas, state.v_meas, mppt_state, config.fuzzy)
-        state.steps_since_mppt = 0
-
-    d = mppt_state.d
-    flags = FLAG_DUTY_LIMIT if d == 0.0 or d == mppt_state.d_max else 0
-    v_cand = pv_port_voltage(state.v_bus, d)
+    po = config.mppt_kind == "po"
+    g_at = cursor(config.irradiance)
+    t_amb_at = cursor(config.temperature)
+    p_load_at = cursor(config.load)
+    mppt_every = config.mppt_every
+    bat_state, mppt_state, sup_state = state.bat, state.mppt, state.sup
+    d_max = mppt_state.d_max
+    v_bus, p_meas, v_meas, have_meas, since_mppt = (
+        state.v_bus, state.p_meas, state.v_meas, state.have_meas, state.steps_since_mppt)
+    e_pv, e_served, e_unserved, e_bat_in, e_bat_out, e_curtailed, e_loss = (
+        ledger.e_pv, ledger.e_load_served, ledger.e_load_unserved, ledger.e_bat_in,
+        ledger.e_bat_out, ledger.e_curtailed, ledger.e_loss)
     try:
-        point, pv_clamped = pv.operating_point(v_cand, g, t_j, config.panel)
-    except ConvergenceError as exc:
-        raise InvariantViolation(
-            f"step {step_index} (t={t}): PV solve failed: {exc}"
-        ) from exc
-    if pv_clamped:
-        flags |= FLAG_PV_CLAMP
-    p_port = point.p_pv
-    p_avail = config.eta * p_port
-    state.p_meas = p_port
-    state.v_meas = v_cand
-    state.have_meas = True
+        for k, t in enumerate(times, first):
+            g = g_at(t)
+            t_amb = t_amb_at(t)
+            p_load = p_load_at(t)
 
-    sup.select_mode(p_avail, p_load, bat_state.soc, sup_state, config.supervisor)
-    mode = sup_state.mode
-    p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
+            since_mppt += 1
+            if have_meas and since_mppt >= mppt_every:
+                if po:
+                    mp.po_step(p_meas, v_meas, mppt_state)
+                else:
+                    mp.flc_step(p_meas, v_meas, mppt_state, fuzzy)
+                since_mppt = 0
 
-    try:
-        i_bat = (
-            bat.current_for_power(p_bat_set, bat_state, battery)
-            if p_bat_set != 0.0
-            else 0.0
-        )
-    except SingularityGuardError:
-        mode = SupervisorMode.MODE4 if p_bat_set < 0 else SupervisorMode.MODE5
-        sup_state.mode = mode
-        p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
-        i_bat = 0.0
-        flags |= FLAG_PROTECTIVE
-    except ConvergenceError as exc:
-        raise InvariantViolation(
-            f"step {step_index} (t={t}): battery solve failed: {exc}"
-        ) from exc
+            d = mppt_state.d
+            flags = FLAG_DUTY_LIMIT if d == 0.0 or d == d_max else 0
+            v_cand = converter.pv_port_voltage(v_bus, d)
+            try:
+                i_pv, p_port, pv_clamped = pv.operating_point(v_cand, g, t_amb + 273.15, panel)
+            except ConvergenceError as exc:
+                raise InvariantViolation(f"step {k} (t={t}): PV solve failed: {exc}") from exc
+            if pv_clamped:
+                flags |= FLAG_PV_CLAMP
+            p_avail = eta * p_port
+            p_meas = p_port
+            v_meas = v_cand
+            have_meas = True
 
-    v_bat = bat.terminal_voltage(bat_state, i_bat, battery)
-    p_bat = i_bat * v_bat
-    before = bat_state.clamp_events
-    bat.soc_update(bat_state, i_bat, dt_h, battery)
-    if bat_state.clamp_events > before:
-        flags |= FLAG_SOC_CLAMP
+            sup.select_mode(p_avail, p_load, bat_state.soc, sup_state, supervisor)
+            mode = sup_state.mode
+            p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
+            try:
+                i_bat = (
+                    bat.current_for_power(p_bat_set, bat_state, battery)
+                    if p_bat_set != 0.0
+                    else 0.0
+                )
+            except SingularityGuardError:
+                mode = sup.MODE4 if p_bat_set < 0 else sup.MODE5
+                sup_state.mode = mode
+                p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
+                i_bat = 0.0
+                flags |= FLAG_PROTECTIVE
+            except ConvergenceError as exc:
+                raise InvariantViolation(
+                    f"step {k} (t={t}): battery solve failed: {exc}"
+                ) from exc
 
-    mode_column, k1, k2, k3 = _MODE_COLUMNS[mode]
-    connected = k1 or k2
-    state.v_bus = v_bat if (k1 or k3) else config.v_bus_nominal
+            v_bat = bat.terminal_voltage(bat_state, i_bat, battery)
+            p_bat = i_bat * v_bat
+            before = bat_state.clamp_events
+            bat.soc_update(bat_state, i_bat, dt_h, battery)
+            if bat_state.clamp_events > before:
+                flags |= FLAG_SOC_CLAMP
 
-    record = SimRecord(
-        t, g, t_amb, p_pv_used, p_load, p_served, p_bat, bat_state.soc, v_bat,
-        v_cand if connected else 0.0, point.i_pv if connected else 0.0, d,
-        mode_column, k1, k2, k3, p_curt, flags,
-    )
+            mode_column, k1, k2, k3 = _MODE_COLUMNS[mode]
+            connected = k1 or k2
+            v_bus = v_bat if (k1 or k3) else v_bus_nominal
 
-    ledger.e_pv += (p_port if connected else 0.0) * dt_h
-    ledger.e_load_served += p_served * dt_h
-    ledger.e_load_unserved += (p_load - p_served) * dt_h
-    if p_bat > 0.0:
-        ledger.e_bat_out += p_bat * dt_h
-    else:
-        ledger.e_bat_in += -p_bat * dt_h
-    ledger.e_curtailed += p_curt * dt_h
-    ledger.e_loss += ((p_port - p_avail) if connected else 0.0) * dt_h
+            e_pv += (p_port if connected else 0.0) * dt_h
+            e_served += p_served * dt_h
+            e_unserved += (p_load - p_served) * dt_h
+            if p_bat > 0.0:
+                e_bat_out += p_bat * dt_h
+            else:
+                e_bat_in += -p_bat * dt_h
+            e_curtailed += p_curt * dt_h
+            e_loss += ((p_port - p_avail) if connected else 0.0) * dt_h
 
-    _check_balance(record, step_index)
-    return record
+            # power balance of the row, by the mode's routing identity
+            if mode_column == 1:
+                err = abs(p_pv_used - (p_served - p_bat) - p_curt)
+            elif mode_column == 2 or mode_column == 3:
+                err = abs(p_served - (p_pv_used + p_bat))
+            elif mode_column == 4:
+                err = abs(p_served - min(p_pv_used, p_load)) + abs(p_bat)
+            else:
+                err = abs(p_served) + abs(p_bat) + abs(p_pv_used)
+            if err > BALANCE_TOL * max(1.0, p_load, p_pv_used):
+                raise InvariantViolation(
+                    f"step {k} (t={t}): mode {mode_column} power balance off by {err:.3e} W"
+                )
 
-
-def _check_balance(rec, step_index):
-    scale = max(1.0, rec.p_load_requested, rec.p_pv)
-    mode = rec.mode
-    if mode == 1:
-        err = abs(rec.p_pv - (rec.p_load_served - rec.p_bat) - rec.p_curtailed)
-    elif mode in (2, 3):
-        err = abs(rec.p_load_served - (rec.p_pv + rec.p_bat))
-    elif mode == 4:
-        err = abs(rec.p_load_served - min(rec.p_pv, rec.p_load_requested)) + abs(rec.p_bat)
-    else:
-        err = abs(rec.p_load_served) + abs(rec.p_bat) + abs(rec.p_pv)
-    if err > BALANCE_TOL * scale:
-        raise InvariantViolation(
-            f"step {step_index} (t={rec.t}): mode {mode} power balance off by {err:.3e} W"
-        )
-
-
-def steps(config, ledger):
-    """Yield the run's records one step at a time, accumulating energy into ``ledger``.
-
-    Nothing is kept between records, so a consumer that writes each record
-    as it arrives runs in memory that does not grow with the step count.
-    """
-    state = init_state(config)
-    for k in range(config.n_steps):
-        yield step(config, state, k * config.dt, ledger, k)
+            yield (
+                t, g, t_amb, p_pv_used, p_load, p_served, p_bat, bat_state.soc, v_bat,
+                v_cand if connected else 0.0, i_pv if connected else 0.0, d,
+                mode_column, k1, k2, k3, p_curt, flags,
+            )
+    finally:
+        state.v_bus, state.p_meas, state.v_meas, state.have_meas, state.steps_since_mppt = (
+            v_bus, p_meas, v_meas, have_meas, since_mppt)
+        (ledger.e_pv, ledger.e_load_served, ledger.e_load_unserved, ledger.e_bat_in,
+         ledger.e_bat_out, ledger.e_curtailed, ledger.e_loss) = (
+            e_pv, e_served, e_unserved, e_bat_in, e_bat_out, e_curtailed, e_loss)
 
 
 def run(config):
@@ -298,29 +321,27 @@ def run(config):
     configs produce identical records.
     """
     ledger = EnergyLedger()
-    return list(steps(config, ledger)), ledger
+    return [SimRecord(*row) for row in steps(config, ledger)], ledger
 
 
-def csv_row(r, controller):
-    """One record as a canonical CSV line, newline included."""
-    return (
-        f"{r.t!r},{r.g!r},{r.t_amb!r},{r.p_pv!r},{r.p_load_requested!r},"
-        f"{r.p_load_served!r},{r.p_bat!r},{r.soc!r},{r.v_bat!r},{r.v_pv!r},"
-        f"{r.i_pv!r},{r.d!r},{r.mode},{r.k1},{r.k2},{r.k3},"
-        f"{r.p_curtailed!r},{r.clamp_flags},{controller}\n"
-    )
+#: One CSV row, controller column excluded: floats by ``repr``, ints by ``str``.
+_ROW_FORMAT = "%r,%r,%r,%r,%r,%r,%r,%r,%r,%r,%r,%r,%s,%s,%s,%s,%r,%s,"
+
+
+def _row_format(controller):
+    """The format string of one row, newline included, with ``controller`` filled in."""
+    return _ROW_FORMAT + controller + "\n"
 
 
 def records_to_csv(records, controller):
-    """Render records as the canonical CSV text (trailing newline included)."""
-    return CSV_HEADER + "\n" + "".join(csv_row(r, controller) for r in records)
+    """Render rows or records as the canonical CSV text (trailing newline included)."""
+    return CSV_HEADER + "\n" + "".join(map(_row_format(controller).__mod__, records))
 
 
-def write_records_csv(records, controller, fh):
-    """Write the CSV of any iterable of records to text file ``fh``, one row as each arrives."""
+def write_records_csv(rows, controller, fh):
+    """Write the CSV of an iterable of rows or records to text file ``fh`` as they arrive."""
     fh.write(CSV_HEADER + "\n")
-    for r in records:
-        fh.write(csv_row(r, controller))
+    fh.writelines(map(_row_format(controller).__mod__, rows))
 
 
 def ledger_to_text(ledger):
@@ -356,11 +377,11 @@ def run_tracking(kind, panel, g, t_c, n_steps, v_bus, state, fuzzy, eta):
     powers = {}  # port voltage -> eta * p_pv
     for _ in range(n_steps):
         d = state.d
-        v = pv_port_voltage(v_bus, d)
+        v = converter.pv_port_voltage(v_bus, d)
         p = powers.get(v)
         if p is None:
-            point, _ = pv.operating_point(v, g, t_j, panel)
-            p = powers[v] = eta * point.p_pv
+            _, p_pv, _ = pv.operating_point(v, g, t_j, panel)
+            p = powers[v] = eta * p_pv
         out.append((d, v, p))
         if po:
             mp.po_step(p, v, state)

@@ -138,12 +138,12 @@ def solve_operating_current(v_pv, g, t_j, params):
 def operating_point(v_pv, g, t_j, params):
     """Solve the array point at ``v_pv`` and apply the blocking-diode clamp.
 
-    Returns ``(point, clamped)``. Voltages above open circuit would yield a
-    negative current; the series blocking diode prevents reverse flow, so the
-    current is clamped to zero and flagged. The clamp is decided from the
-    residual at zero current before any solve: the residual falls strictly
-    with current, so below ``-RESIDUAL_TOL`` every root the solve could
-    accept is negative and would be clamped anyway.
+    Returns ``(i_pv, p_pv, clamped)``. Voltages above open circuit would
+    yield a negative current; the series blocking diode prevents reverse
+    flow, so the current is clamped to zero and flagged. The clamp is
+    decided from the residual at zero current before any solve: the
+    residual falls strictly with current, so below ``-RESIDUAL_TOL`` every
+    root the solve could accept is negative and would be clamped anyway.
     """
     if v_pv < 0:
         raise DomainError(f"array voltage must be >= 0, got {v_pv}")
@@ -151,11 +151,11 @@ def operating_point(v_pv, g, t_j, params):
     v_panel = v_pv / params.n_panels_series
     f0 = _kernels.diode_residual(0.0, v_panel, i_ph, i_0, params.r_s, params.r_sh, vt)
     if f0 < -RESIDUAL_TOL:
-        return PvOperatingPoint(v_pv, 0.0, v_pv * 0.0), True
+        return 0.0, v_pv * 0.0, True
     i_pv = _array_current(v_panel, i_ph, i_0, vt, params)
     if i_pv < 0.0:
-        return PvOperatingPoint(v_pv, 0.0, v_pv * 0.0), True
-    return PvOperatingPoint(v_pv, i_pv, v_pv * i_pv), False
+        return 0.0, v_pv * 0.0, True
+    return i_pv, v_pv * i_pv, False
 
 
 def open_circuit_voltage(g, t_j, params):

@@ -20,6 +20,11 @@ class SupervisorMode(enum.IntEnum):
     MODE5 = 5  # battery depleted and PV absent/insufficient: load shed
 
 
+#: The members as module names: a module global loads faster than an Enum
+#: class attribute, and select_mode and route_power run once per step.
+MODE1, MODE2, MODE3, MODE4, MODE5 = SupervisorMode
+
+
 @dataclass(frozen=True)
 class SwitchStates:
     k1: bool = False
@@ -92,15 +97,15 @@ def select_mode(p_pv, p_load, soc, state, config):
     dischargeable = not state.discharge_blocked
 
     if p_pv >= p_load + config.p_epsilon and chargeable:
-        state.mode = SupervisorMode.MODE1
+        state.mode = MODE1
     elif p_pv >= p_load:
-        state.mode = SupervisorMode.MODE4
+        state.mode = MODE4
     elif p_pv >= config.p_epsilon and dischargeable:
-        state.mode = SupervisorMode.MODE2
+        state.mode = MODE2
     elif p_pv < config.p_epsilon and dischargeable:
-        state.mode = SupervisorMode.MODE3
+        state.mode = MODE3
     else:
-        state.mode = SupervisorMode.MODE5
+        state.mode = MODE5
     return state
 
 
@@ -113,13 +118,13 @@ def route_power(mode, p_pv, p_load):
     beyond the load), nothing in modes 3/5 where both PV switches are open
     and the array idles at open circuit.
     """
-    if mode is SupervisorMode.MODE1:
+    if mode is MODE1:
         return -(p_pv - p_load), p_load, 0.0, p_pv
-    if mode is SupervisorMode.MODE2:
+    if mode is MODE2:
         return p_load - p_pv, p_load, 0.0, p_pv
-    if mode is SupervisorMode.MODE3:
+    if mode is MODE3:
         return p_load, p_load, 0.0, 0.0
-    if mode is SupervisorMode.MODE4:
+    if mode is MODE4:
         served = p_pv if p_pv < p_load else p_load
         return 0.0, served, p_pv - served, p_pv
     return 0.0, 0.0, 0.0, 0.0

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from pvbatsim import cli, engine, pv
-from pvbatsim.errors import ConvergenceError, InvariantViolation
+from pvbatsim.errors import ConvergenceError
 
 SHORT_CONFIG = """\
 simulation:
@@ -213,16 +213,18 @@ class TestSimulateStreaming:
         out.write_bytes(b"previous records\n")
         ledger = tmp_path / "run.csv.ledger"
         ledger.write_bytes(b"previous ledger\n")
-        real_step = engine.step
+        real_solve = pv.operating_point
+        solves = []
 
-        def failing_step(config, state, t, ledger=None, step_index=0):
-            if step_index == 5:
-                raise InvariantViolation("step 5: injected failure")
-            return real_step(config, state, t, ledger, step_index)
+        def failing_solve(*args):
+            solves.append(args)
+            if len(solves) == 6:  # the PV solve of step 5
+                raise ConvergenceError("injected failure")
+            return real_solve(*args)
 
-        monkeypatch.setattr(engine, "step", failing_step)
+        monkeypatch.setattr(pv, "operating_point", failing_solve)
         assert cli.main(["simulate", "--config", short_config, "--out", str(out)]) == 3
-        assert "injected failure" in capsys.readouterr().err
+        assert "step 5 (t=5.0): PV solve failed: injected failure" in capsys.readouterr().err
         assert out.read_bytes() == b"previous records\n"
         assert ledger.read_bytes() == b"previous ledger\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.ledger",
@@ -241,9 +243,10 @@ class TestSimulateStreaming:
                 path.write_bytes(b"previous " + path.name.encode() + b"\n")
 
         def no_step(*args, **kwargs):
-            raise AssertionError("engine.step called")
+            raise AssertionError("a step ran")
 
-        monkeypatch.setattr(engine, "step", no_step)
+        # every step solves the PV point
+        monkeypatch.setattr(pv, "operating_point", no_step)
         assert cli.main(["simulate", "--config", short_config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(tmp_path / directory) in err
@@ -459,6 +462,9 @@ def input_files(tmp_path):
     return tmp_path
 
 
+SUNLIT_HOUR = "simulation: {t_end_s: 3600}\nprofiles: {synthetic: {sunrise_h: 0.0}}\n"
+
+
 class TestBadInputs:
     """Each bad input exits with its documented code and names its key, flag or path."""
 
@@ -549,6 +555,14 @@ class TestBadInputs:
                      "config error: battery.delta_t_c", id="delta-t-at-max"),
         pytest.param("battery: {delta_t_c: -200.0}", SIMULATE, 1,
                      "config error: battery.delta_t_c", id="delta-t-at-min"),
+        # an hour of daylight, so that the battery and temperature laws run
+        pytest.param(SUNLIT_HOUR + "battery: {discharge_exp: 1.0e+6}", SIMULATE, 1,
+                     "config error: battery.discharge_exp", id="discharge-exp-huge"),
+        pytest.param(SUNLIT_HOUR + "panel: {i_0_temp_exp: -100000}", SIMULATE, 1,
+                     "config error: panel.i_0_temp_exp", id="i0-temp-exp-huge"),
+        # 1 + k_i * (t_j - t_ref) is negative above 26 degC, and the day reaches 35
+        pytest.param("panel: {k_i: -1}", SIMULATE, 1,
+                     "config error: panel.k_i", id="k-i-negative-photocurrent"),
         pytest.param("supervisor: {soc_min_release: 0.1}", SIMULATE, 1,
                      "config error: supervisor.soc_min_release",
                      id="supervisor-release-below-min"),

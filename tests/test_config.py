@@ -88,6 +88,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="profiles"):
             build_sim_config({"profiles": {"wind": {"csv": "x.csv"}}})
 
+    @pytest.mark.parametrize("k_i,t_min,t_max,refused_at", [
+        (-0.02, 15.0, 35.0, None),   # factor 0.8 at the hottest knot
+        (-0.2, 15.0, 35.0, "35"),    # factor -1 at the hottest knot
+        (0.2, 15.0, 35.0, "15"),     # factor -1 at the coldest knot
+        (-0.2, -10.0, 20.0, None),   # the same coefficient on a cooler day
+    ])
+    def test_k_i_against_profile_temperatures(self, k_i, t_min, t_max, refused_at):
+        data = {"panel": {"k_i": k_i},
+                "profiles": {"synthetic": {"t_min_c": t_min, "t_max_c": t_max}}}
+        if refused_at is None:
+            assert build_sim_config(data).panel.k_i == k_i
+        else:
+            with pytest.raises(ConfigError, match=rf"^panel\.k_i .* at {refused_at} degC"):
+                build_sim_config(data)
+
 
 class TestSchema:
     """One schema: every numeric key refuses NaN and text and names itself."""

@@ -9,10 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvbatsim import battery, engine, mppt, pv
+from pvbatsim import battery, converter, engine, mppt, pv, supervisor
 from pvbatsim.config import build_sim_config
-from pvbatsim.errors import ConfigError
-from pvbatsim.profiles import TimeSeriesProfile
+from pvbatsim.errors import (
+    ConfigError,
+    ConvergenceError,
+    InvariantViolation,
+    SingularityGuardError,
+)
+from pvbatsim.profiles import TimeSeriesProfile, sample
 from test_profiles import write_csv
 
 
@@ -173,6 +178,11 @@ class TestEfficiencyKnob:
         assert ledger.e_loss == 0.0
 
 
+#: A supervisor band wider than the voltage laws' SOC guards, so the guards fire.
+GUARD_BAND = {"soc_min": 0.001, "soc_min_release": 0.002, "soc_max_release": 0.997,
+              "soc_max": 0.9992}
+
+
 class TestProtectiveDowngrade:
     def test_charge_guard_downgrades_to_mode4(self):
         # supervisor band pushed past the voltage-law ceiling so the guard fires
@@ -198,6 +208,23 @@ class TestProtectiveDowngrade:
         assert rec.mode == 5
         assert rec.p_load_served == 0.0
         assert rec.clamp_flags & engine.FLAG_PROTECTIVE
+
+    @pytest.mark.parametrize("g,soc,mode", [(1000.0, 0.9951, 4), (0.0, 0.004, 5)],
+                             ids=["charge", "discharge"])
+    def test_simulate_loop_downgrades(self, g, soc, mode):
+        # the same guards, reached through the rows simulate writes
+        config = make_config(
+            g=g, p_load=200.0 if g == 0.0 else 50.0, t_end=5.0, initial_soc=soc,
+            supervisor=supervisor.SupervisorConfig(p_epsilon=1.0, **GUARD_BAND),
+        )
+        out = io.StringIO()
+        engine.write_records_csv(engine.steps(config, engine.EnergyLedger()), "flc", out)
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        assert len(rows) == 5
+        for row in rows:
+            assert int(row[12]) == mode
+            assert float(row[6]) == 0.0  # p_bat
+            assert int(row[17]) & engine.FLAG_PROTECTIVE
 
 
 class TestMpptScheduling:
@@ -271,8 +298,8 @@ def uncached_tracking(kind, panel, g_seq, t_seq, v_bus, d0=DEFAULTS.d0,
     out = []
     for g, t_c in zip(g_seq, t_seq):
         v = (1.0 - state.d) * v_bus
-        point, _ = pv.operating_point(v, g, t_c + 273.15, panel)
-        p = eta * point.p_pv
+        _, p_pv, _ = pv.operating_point(v, g, t_c + 273.15, panel)
+        p = eta * p_pv
         out.append((state.d, v, p))
         if kind == "po":
             mppt.po_step(p, v, state)
@@ -353,3 +380,233 @@ class TestTrackingMemo:
         assert len({d for d, _, _ in samples}) > len(visited)
         assert samples == uncached_tracking("po", TRACK_PANEL, [1000.0] * 20, [25.0] * 20, 48.0,
                                             delta_d=6e-17)
+
+
+def layered_step(config, state, t, ledger, step_index):
+    """Reference step: the layered ``engine.step`` from before the flat loop.
+
+    Every layer is a call, the step state lives in ``state`` and ``ledger``,
+    each profile is read with ``profiles.sample`` and the record is checked
+    by :func:`check_balance`.
+    """
+    g = sample(config.irradiance, t)
+    t_amb = sample(config.temperature, t)
+    p_load = sample(config.load, t)
+    t_j = t_amb + 273.15
+    mppt_state = state.mppt
+    bat_state = state.bat
+    sup_state = state.sup
+    params = config.battery
+    dt_h = config.dt / 3600.0
+
+    state.steps_since_mppt += 1
+    if state.have_meas and state.steps_since_mppt >= config.mppt_every:
+        if config.mppt_kind == "po":
+            mppt.po_step(state.p_meas, state.v_meas, mppt_state)
+        else:
+            mppt.flc_step(state.p_meas, state.v_meas, mppt_state, config.fuzzy)
+        state.steps_since_mppt = 0
+
+    d = mppt_state.d
+    flags = engine.FLAG_DUTY_LIMIT if d == 0.0 or d == mppt_state.d_max else 0
+    v_cand = converter.pv_port_voltage(state.v_bus, d)
+    try:
+        i_pv, p_port, pv_clamped = pv.operating_point(v_cand, g, t_j, config.panel)
+    except ConvergenceError as exc:
+        raise InvariantViolation(f"step {step_index} (t={t}): PV solve failed: {exc}") from exc
+    if pv_clamped:
+        flags |= engine.FLAG_PV_CLAMP
+    p_avail = config.eta * p_port
+    state.p_meas = p_port
+    state.v_meas = v_cand
+    state.have_meas = True
+
+    supervisor.select_mode(p_avail, p_load, bat_state.soc, sup_state, config.supervisor)
+    mode = sup_state.mode
+    p_bat_set, p_served, p_curt, p_pv_used = supervisor.route_power(mode, p_avail, p_load)
+    try:
+        i_bat = (
+            battery.current_for_power(p_bat_set, bat_state, params) if p_bat_set != 0.0 else 0.0
+        )
+    except SingularityGuardError:
+        mode = supervisor.SupervisorMode.MODE4 if p_bat_set < 0 else supervisor.SupervisorMode.MODE5
+        sup_state.mode = mode
+        p_bat_set, p_served, p_curt, p_pv_used = supervisor.route_power(mode, p_avail, p_load)
+        i_bat = 0.0
+        flags |= engine.FLAG_PROTECTIVE
+    except ConvergenceError as exc:
+        raise InvariantViolation(
+            f"step {step_index} (t={t}): battery solve failed: {exc}") from exc
+
+    v_bat = battery.terminal_voltage(bat_state, i_bat, params)
+    p_bat = i_bat * v_bat
+    before = bat_state.clamp_events
+    battery.soc_update(bat_state, i_bat, dt_h, params)
+    if bat_state.clamp_events > before:
+        flags |= engine.FLAG_SOC_CLAMP
+
+    switches = supervisor.SWITCH_TABLE[mode]
+    k1, k2, k3 = int(switches.k1), int(switches.k2), int(switches.k3)
+    connected = k1 or k2
+    state.v_bus = v_bat if (k1 or k3) else config.v_bus_nominal
+
+    record = engine.SimRecord(
+        t, g, t_amb, p_pv_used, p_load, p_served, p_bat, bat_state.soc, v_bat,
+        v_cand if connected else 0.0, i_pv if connected else 0.0, d,
+        int(mode), k1, k2, k3, p_curt, flags,
+    )
+
+    ledger.e_pv += (p_port if connected else 0.0) * dt_h
+    ledger.e_load_served += p_served * dt_h
+    ledger.e_load_unserved += (p_load - p_served) * dt_h
+    if p_bat > 0.0:
+        ledger.e_bat_out += p_bat * dt_h
+    else:
+        ledger.e_bat_in += -p_bat * dt_h
+    ledger.e_curtailed += p_curt * dt_h
+    ledger.e_loss += ((p_port - p_avail) if connected else 0.0) * dt_h
+
+    check_balance(record, step_index)
+    return record
+
+
+def check_balance(rec, step_index):
+    scale = max(1.0, rec.p_load_requested, rec.p_pv)
+    mode = rec.mode
+    if mode == 1:
+        err = abs(rec.p_pv - (rec.p_load_served - rec.p_bat) - rec.p_curtailed)
+    elif mode in (2, 3):
+        err = abs(rec.p_load_served - (rec.p_pv + rec.p_bat))
+    elif mode == 4:
+        err = abs(rec.p_load_served - min(rec.p_pv, rec.p_load_requested)) + abs(rec.p_bat)
+    else:
+        err = abs(rec.p_load_served) + abs(rec.p_bat) + abs(rec.p_pv)
+    if err > engine.BALANCE_TOL * scale:
+        raise InvariantViolation(
+            f"step {step_index} (t={rec.t}): mode {mode} power balance off by {err:.3e} W"
+        )
+
+
+def run_until_error(rows):
+    """Drain ``rows`` into a list; also return the message of the violation that ended it."""
+    out = []
+    try:
+        for row in rows:
+            out.append(row)
+    except InvariantViolation as exc:
+        return out, str(exc)
+    return out, None
+
+
+def assert_matches_layered(config):
+    """Run ``engine.steps``, ``engine.step`` and the layered reference: rows, ledger and
+    failure must agree."""
+    ledger = engine.EnergyLedger()
+    rows, error = run_until_error(engine.steps(config, ledger))
+    ref_ledger = engine.EnergyLedger()
+    state = engine.init_state(config)
+    ref, ref_error = run_until_error(
+        (layered_step(config, state, k * config.dt, ref_ledger, k)
+         for k in range(config.n_steps)))
+    assert rows == ref
+    assert error == ref_error
+    assert vars(ledger) == vars(ref_ledger)
+    # the same bits too: == does not tell -0.0 from 0.0
+    assert engine.records_to_csv(rows, "x") == engine.records_to_csv(ref, "x")
+    assert engine.ledger_to_text(ledger) == engine.ledger_to_text(ref_ledger)
+    # engine.step, one call per step, carries the state between calls
+    step_ledger = engine.EnergyLedger()
+    state = engine.init_state(config)
+    assert run_until_error(
+        engine.step(config, state, k * config.dt, step_ledger, k)
+        for k in range(config.n_steps)) == (rows, error)
+    assert vars(step_ledger) == vars(ledger)
+    return [engine.SimRecord(*row) for row in rows], error
+
+
+#: Start SOCs next to the supervisor bands, so that the latches fire, and at
+#: random. The two guard starts are outside the config's SOC range.
+SOC_NEAR_BANDS = st.sampled_from([0.2005, 0.2495, 0.8505, 0.8995]) | st.floats(0.1, 0.95)
+SOC_AT_GUARDS = st.sampled_from([0.004, 0.9951])
+
+
+@st.composite
+def flat_loop_config(draw, tmp):
+    """A short run: random profiles (synthetic or CSV), controller, step and supervisor."""
+    dt = draw(st.sampled_from([0.5, 1.0, 2.5, 7.0, 60.0]))
+    if draw(st.booleans()):
+        split = draw(st.floats(0.5, 23.5))
+        profiles = {"synthetic": {
+            "g_peak_wm2": draw(st.floats(0.0, 1200.0)),
+            "sunrise_h": draw(st.floats(0.0, 1.0)),
+            "sunset_h": draw(st.floats(1.5, 24.0)),
+            "load_blocks": [[0.0, split, draw(st.floats(0.0, 600.0))],
+                            [split, 24.0, draw(st.floats(0.0, 600.0))]],
+        }}
+    else:
+        profiles = {}
+        for name, prof in (("irradiance", random_profile("irradiance_wm2", 0.0, 1200.0)),
+                           ("temperature", random_profile("temperature_c", -20.0, 60.0)),
+                           ("load", random_profile("load_w", 0.0, 800.0))):
+            path = os.path.join(tmp, f"{name}.csv")
+            write_csv(draw(prof), path)
+            profiles[name] = {"csv": path}
+    guarded = draw(st.booleans())
+    config = build_sim_config({
+        "simulation": {
+            "dt_s": dt, "t_end_s": dt * draw(st.integers(1, 300)),
+            "mppt": draw(st.sampled_from(["po", "flc"])),
+            "initial_soc": draw(SOC_NEAR_BANDS),
+        },
+        "mppt": {"t_mppt_s": draw(st.sampled_from([0.1, 1.0, 5.0, 13.0]))},
+        "converter": {"eta": draw(st.just(1.0) | st.floats(0.5, 1.0))},
+        "supervisor": GUARD_BAND if guarded else {},
+        "profiles": profiles,
+    })
+    if guarded:
+        config = replace(config, initial_soc=draw(SOC_AT_GUARDS))
+    return config
+
+
+def band_case(case, mppt_kind):
+    """A run in 2.5 s steps that reaches a supervisor band or a voltage-law guard."""
+    common = {"dt": 2.5, "t_mppt": 5.0, "eta": 0.9, "mppt_kind": mppt_kind}
+    if case.endswith("guard"):
+        # constant conditions from a start past the guard, which the config refuses
+        charge = case == "charge-guard"
+        return make_config(g=1000.0 if charge else 0.0, p_load=50.0 if charge else 200.0,
+                           t_end=600.0, initial_soc=0.9951 if charge else 0.004,
+                           supervisor=supervisor.SupervisorConfig(p_epsilon=1.0, **GUARD_BAND),
+                           **common)
+    charge = case == "soc-max-latch"
+    return build_sim_config({
+        "simulation": {"t_end_s": 7200.0, "dt_s": 2.5, "mppt": mppt_kind,
+                       "initial_soc": 0.8995 if charge else 0.2005},
+        "mppt": {"t_mppt_s": 5.0},
+        "converter": {"eta": 0.9},
+        "profiles": {"synthetic": {"g_peak_wm2": 1000.0 if charge else 0.0, "sunrise_h": 0.0}},
+    })
+
+
+class TestFlatLoopMatchesLayered:
+    """``engine.steps`` gives the layered reference's rows and ledger, field for field."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_random_runs(self, data, tmp_path_factory):
+        tmp = str(tmp_path_factory.mktemp("profiles"))
+        assert_matches_layered(data.draw(flat_loop_config(tmp)))
+
+    @pytest.mark.parametrize("mppt_kind", ["po", "flc"])
+    @pytest.mark.parametrize("case", ["soc-max-latch", "soc-min-latch", "charge-guard",
+                                      "discharge-guard"])
+    def test_bands_and_guards(self, case, mppt_kind):
+        records, error = assert_matches_layered(band_case(case, mppt_kind))
+        assert error is None
+        modes = [r.mode for r in records]
+        if case == "soc-max-latch":
+            assert 1 in modes and 4 in modes[modes.index(1):]  # charging stops at soc_max
+        elif case == "soc-min-latch":
+            assert 3 in modes and 5 in modes[modes.index(3):]  # discharging stops at soc_min
+        else:
+            assert any(r.clamp_flags & engine.FLAG_PROTECTIVE for r in records)

@@ -127,6 +127,69 @@ class TestSample:
         assert profiles.sample(prof, 15.0) == 2.0
 
 
+@st.composite
+def irregular_profile(draw):
+    """1-8 knots at irregular gaps, of a held (load) or a linear quantity."""
+    start = draw(st.floats(-100.0, 100.0))
+    gaps = draw(st.lists(st.floats(1e-3, 100.0), max_size=7))
+    times = [start]
+    for gap in gaps:
+        if times[-1] + gap > times[-1]:
+            times.append(times[-1] + gap)
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(times), max_size=len(times)))
+    quantity = draw(st.sampled_from(profiles.QUANTITIES))
+    return profiles.TimeSeriesProfile(tuple(times), tuple(values), quantity)
+
+
+@st.composite
+def read_times(draw, times):
+    """Non-decreasing read times: before, on and past the knots, some repeated."""
+    lo, hi = times[0] - 50.0, times[-1] + 50.0
+    reads = draw(st.lists(st.floats(lo, hi), max_size=30))
+    reads += draw(st.lists(st.sampled_from(times), max_size=10))
+    reads += draw(st.lists(st.sampled_from(reads or [lo]), max_size=5))  # repeats
+    return sorted(reads)
+
+
+def bits(values):
+    """The values' exact bits: tells -0.0 from 0.0, which ``==`` does not."""
+    return [v.hex() for v in values]
+
+
+class TestCursor:
+    """A cursor read at non-decreasing times gives ``sample``'s values bit for bit."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data(), profile=irregular_profile())
+    def test_matches_sample_at_sorted_times(self, data, profile):
+        reads = data.draw(read_times(profile.times))
+        at = profiles.cursor(profile)
+        got = [at(t) for t in reads]
+        want = [profiles.sample(profile, t) for t in reads]
+        assert got == want
+        assert bits(got) == bits(want)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @given(profile=irregular_profile(), first=st.floats(-200.0, 50.0),
+           dt=st.floats(1e-2, 70.0), n=st.integers(1, 200))
+    def test_matches_sample_at_fixed_steps(self, profile, first, dt, n):
+        # steps k * dt that need not divide the knot spacing, as the engine reads them
+        reads = [first + k * dt for k in range(n)]
+        at = profiles.cursor(profile)
+        got = [at(t) for t in reads]
+        want = [profiles.sample(profile, t) for t in reads]
+        assert got == want
+        assert bits(got) == bits(want)
+
+    def test_default_day_every_second(self):
+        config = build_sim_config()
+        reads = [k * 1.0 for k in range(86401)]
+        for profile in (config.irradiance, config.temperature, config.load):
+            at = profiles.cursor(profile)
+            got = [at(t) for t in reads]
+            assert bits(got) == bits([profiles.sample(profile, t) for t in reads])
+
+
 class TestValidation:
     def test_non_monotone_times(self, tmp_path):
         # profiles come in through the config, which names the file's key and row

@@ -224,7 +224,7 @@ def solve_then_clamp(v_pv, g, t_j, params):
     clamped = i_pv < 0.0
     if clamped:
         i_pv = 0.0
-    return pv.PvOperatingPoint(v_pv, i_pv, v_pv * i_pv), clamped
+    return i_pv, v_pv * i_pv, clamped
 
 
 def zero_current_residual(v_pv, g, t_j, params):
@@ -285,30 +285,30 @@ class TestBlockingDiodeClamp:
         above = [hi, math.nextafter(hi, math.inf)]  # residual just below it
         for v_pv in below + above:
             diode_calls.clear()
-            point, clamped = pv.operating_point(v_pv, g, t_j, params)
+            point = pv.operating_point(v_pv, g, t_j, params)
             assert len(diode_calls) == (1 if v_pv in below else 0)
-            assert clamped  # the root is negative on both sides
-            assert (point, clamped) == solve_then_clamp(v_pv, g, t_j, params)
+            assert point[2]  # the root is negative on both sides
+            assert point == solve_then_clamp(v_pv, g, t_j, params)
 
     def test_clamped_point_skips_the_kernel(self, panel, diode_calls):
         v_oc = pv.open_circuit_voltage(G_REF, T_REF, panel)
         diode_calls.clear()
-        assert pv.operating_point(v_oc + 1.0, G_REF, T_REF, panel)[1]
+        assert pv.operating_point(v_oc + 1.0, G_REF, T_REF, panel)[2]
         assert diode_calls == []
-        assert not pv.operating_point(10.0, G_REF, T_REF, panel)[1]
+        assert not pv.operating_point(10.0, G_REF, T_REF, panel)[2]
         assert len(diode_calls) == 1
 
     def test_above_voc_clamps_to_zero(self, panel):
         v_oc = pv.open_circuit_voltage(G_REF, T_REF, panel)
-        point, clamped = pv.operating_point(v_oc + 1.0, G_REF, T_REF, panel)
+        i_pv, p_pv, clamped = pv.operating_point(v_oc + 1.0, G_REF, T_REF, panel)
         assert clamped
-        assert point.i_pv == 0.0
-        assert point.p_pv == 0.0
+        assert i_pv == 0.0
+        assert p_pv == 0.0
 
     def test_below_voc_not_clamped(self, panel):
-        point, clamped = pv.operating_point(10.0, G_REF, T_REF, panel)
+        i_pv, _, clamped = pv.operating_point(10.0, G_REF, T_REF, panel)
         assert not clamped
-        assert point.i_pv > 0
+        assert i_pv > 0
 
 
 class TestSaturationCurrentLaw:
