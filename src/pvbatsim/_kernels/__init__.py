@@ -1,4 +1,4 @@
-"""Numeric kernels: the implicit diode solve and the battery voltage laws.
+"""Numeric kernels: the implicit diode solve and the battery fixed point.
 
 The implementations live in ``_pure``. Callers look them up on this package
 at call time (``_kernels.solve_diode_current``), so a tracer can rebind them.
@@ -6,10 +6,7 @@ at call time (``_kernels.solve_diode_current``), so a tracer can rebind them.
 
 from pvbatsim._kernels._pure import (
     battery_current_for_power,
-    capacity_ah,
-    charge_voltage,
     diode_residual,
-    discharge_voltage,
     open_circuit_voltage,
     solve_diode_current,
 )

@@ -67,7 +67,9 @@ def capacity(i_bat, delta_t, params):
     """
     if i_bat < 0:
         raise DomainError("capacity takes the discharge current magnitude, >= 0")
-    return _kernels.capacity_ah(i_bat, delta_t, params.c_10, params.capacity_coeff)
+    c10 = params.c_10
+    i10 = c10 / 10.0
+    return c10 * params.capacity_coeff * (1.0 + 0.005 * delta_t) / (1.0 + 0.67 * (i_bat / i10))
 
 
 def bank_capacity(i_bank, params):
@@ -89,9 +91,13 @@ def discharge_voltage(soc, i_bat, delta_t, params):
         raise SingularityGuardError(
             f"discharge voltage undefined at soc={soc:.4f} (floor {SOC_FLOOR})"
         )
-    return _kernels.discharge_voltage(
-        soc, i_bat, params.c_10, delta_t, params.n_serial, params.discharge_exp
-    )
+    n_serial = params.n_serial
+    if i_bat == 0.0:
+        return n_serial * (1.965 + 0.12 * soc)
+    sag = (i_bat / params.c_10) * (
+        4.0 / (1.0 + i_bat**params.discharge_exp) + 0.27 / soc**1.5 + 0.02
+    ) * (1.0 - 0.007 * delta_t)
+    return n_serial * (1.965 + 0.12 * soc) - n_serial * sag
 
 
 def charge_voltage(soc, i_bat, delta_t, params):
@@ -107,7 +113,13 @@ def charge_voltage(soc, i_bat, delta_t, params):
         raise SingularityGuardError(
             f"charge voltage undefined at soc={soc:.4f} (ceiling {SOC_CEILING})"
         )
-    return _kernels.charge_voltage(soc, i_bat, params.c_10, delta_t, params.n_serial)
+    n_serial = params.n_serial
+    if i_bat == 0.0:
+        return n_serial * (2.0 + 0.16 * soc)
+    rise = (i_bat / params.c_10) * (
+        6.0 / (1.0 + i_bat**0.86) + 0.48 / (1.0 - soc) ** 1.2 + 0.036
+    ) * (1.0 - 0.025 * delta_t)
+    return n_serial * (2.0 + 0.16 * soc) + n_serial * rise
 
 
 def terminal_voltage(state, i_bat, params):
@@ -142,10 +154,7 @@ def soc_update(state, i_bat, dt_h, params):
     if q < 0.0:
         q = 0.0
         state.clamp_events += 1
-    cap = params.n_parallel * _kernels.capacity_ah(
-        abs(i_bat) / params.n_parallel, params.delta_t, params.c_10, params.capacity_coeff
-    )
-    soc = 1.0 - q / cap
+    soc = 1.0 - q / bank_capacity(i_bat, params)
     if soc < 0.0:
         soc = 0.0
         state.clamp_events += 1

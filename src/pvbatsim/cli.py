@@ -14,9 +14,10 @@ import sys
 
 from pvbatsim import engine, pv
 from pvbatsim import mppt as mp
-from pvbatsim.config import build_sim_config, default_config, load_config_file
+from pvbatsim.config import (build_sim_config, check_panel_temperatures, default_config,
+                             load_config_file)
 from pvbatsim.errors import ConfigError, InvariantViolation, PvbatsimError
-from pvbatsim.profiles import sample
+from pvbatsim.profiles import cursor
 from pvbatsim.supervisor import SWITCH_TABLE, SupervisorMode
 
 EXIT_OK = 0
@@ -114,6 +115,7 @@ def _cmd_iv_curve(args):
         print("iv-curve: --points must be >= 2", file=sys.stderr)
         return EXIT_CONFIG
     config = _load_config(args.config)
+    check_panel_temperatures(config.panel, (args.t,), "which iv-curve --t sets")
     t_j = args.t + 273.15
     with _replaced_when_done(args.out) as (fh,):
         points = pv.iv_sweep(args.g, t_j, args.points, config.panel)
@@ -131,10 +133,12 @@ def _plateaus(config, n_steps):
 
     ``==`` puts ``g = -0.0`` in a run of ``0.0``; each step keeps its own sample.
     """
+    g_at = cursor(config.irradiance)
+    t_c_at = cursor(config.temperature)
     start, conditions = 0, []
     for k in range(n_steps):
         t = k * config.t_mppt
-        now = (sample(config.irradiance, t), sample(config.temperature, t))
+        now = (g_at(t), t_c_at(t))
         if conditions and now != conditions[0]:
             yield start, conditions
             start, conditions = k, []

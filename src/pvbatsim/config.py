@@ -50,6 +50,7 @@ _SCHEMA = (
     ("panel", "a", "a", 1.3, {"minimum": 1, "maximum": 2}),
     ("panel", "n_s", "n_s", 36, _COUNT),
     ("panel", "g_ref", "g_ref", 1000.0, _POSITIVE),
+    # and a finite, positive saturation current over the temperature profile
     ("panel", "t_ref", "t_ref", 298.15, _POSITIVE),
     # and 1 + k_i * (t_j - t_ref) > 0 over the temperature profile
     ("panel", "k_i", "k_i", 0.0005, _ANY),
@@ -242,6 +243,33 @@ def _build_profiles(section):
     )
 
 
+def check_panel_temperatures(panel, temps_c, reached):
+    """Refuse ``panel`` if its temperature laws fail at a temperature in ``temps_c`` [degC].
+
+    The photocurrent factor ``1 + k_i * (t_j - t_ref)`` must be positive and
+    the saturation current finite and positive. Both are monotone in
+    temperature, so a run's coldest and hottest temperatures bound every one
+    between. ``reached`` says in the message where the temperatures come from.
+    """
+    for t_c in temps_c:
+        t_j = t_c + 273.15
+        if 1.0 + panel.k_i * (t_j - panel.t_ref) <= 0.0:
+            raise ConfigError(
+                f"panel.k_i ({panel.k_i:g}) makes the photocurrent factor "
+                f"1 + k_i * (t_j - t_ref) <= 0 at {t_c:g} degC, {reached}"
+            )
+        try:
+            i_0 = panel.saturation_current(t_j)
+        except OverflowError:
+            i_0 = math.inf
+        if not 0.0 < i_0 < math.inf:
+            raise ConfigError(
+                f"panel.t_ref ({panel.t_ref:g} K) puts the saturation current "
+                f"i_0_ref * (t_j / t_ref) ** i_0_temp_exp at {i_0:g} A, outside (0, inf), "
+                f"at {t_c:g} degC with panel.i_0_temp_exp {panel.i_0_temp_exp:g}, {reached}"
+            )
+
+
 #: The supervisor's SOC thresholds, each strictly above the one before.
 _SOC_CHAIN = ("soc_min", "soc_min_release", "soc_max_release", "soc_max")
 
@@ -282,13 +310,8 @@ def build_sim_config(data=None, mppt_override=None):
 
     irradiance, temperature, load = _build_profiles(data.get("profiles", {"synthetic": {}}))
     # temperature samples interpolate between knots, so the extreme knots bound them
-    for t_c in (min(temperature.values), max(temperature.values)):
-        if 1.0 + panel.k_i * (t_c + 273.15 - panel.t_ref) <= 0.0:
-            raise ConfigError(
-                f"panel.k_i ({panel.k_i:g}) makes the photocurrent factor "
-                f"1 + k_i * (t_j - t_ref) <= 0 at {t_c:g} degC, which the temperature "
-                "profile reaches"
-            )
+    check_panel_temperatures(panel, (min(temperature.values), max(temperature.values)),
+                             "which the temperature profile reaches")
 
     return SimConfig(
         panel=panel,

@@ -109,6 +109,24 @@ class TestIvCurve:
         assert "--t" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    # the default day's profile (15-35 degC) passes both panels; --t 200 does not
+    @pytest.mark.parametrize("panel,key", [
+        ("{k_i: -0.01}", "panel.k_i"),  # photocurrent factor negative above 126 degC
+        ("{t_ref: 5.0e-29, i_0_temp_exp: 10}", "panel.t_ref"),  # (t_j / t_ref)**10 overflows
+    ], ids=["k-i", "t-ref"])
+    def test_t_checked_against_panel_laws(self, panel, key, tmp_path, capsys):
+        from pvbatsim.config import build_sim_config, load_config_file
+
+        cfg = tmp_path / "panel.yaml"
+        cfg.write_text(f"panel: {panel}\n", encoding="utf-8")
+        build_sim_config(load_config_file(str(cfg)))
+        out = tmp_path / "hot.csv"
+        argv = ["iv-curve", "--config", str(cfg), "--t", "200", "--points", "5", "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {key}" in err and "--t" in err
+        assert not out.exists()
+
     def test_file_ends_with_newline(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         cli.main(["iv-curve", "--points", "5", "--out", str(out)])
@@ -439,6 +457,7 @@ class TestMpptCompare:
 
 SIMULATE = ["simulate", "--config", "{tmp}/case.yaml", "--out", "{tmp}/o.csv"]
 IV_CURVE = ["iv-curve", "--out", "{tmp}/o.csv"]
+IV_CURVE_CONFIG = IV_CURVE + ["--config", "{tmp}/case.yaml", "--points", "5"]
 CSV_LOAD = ("profiles:\n  irradiance: {csv: {tmp}/irr.csv}\n"
             "  temperature: {csv: {tmp}/temp.csv}\n  load: {csv: %s}\n")
 CSV_TEMP = ("profiles:\n  irradiance: {csv: {tmp}/irr.csv}\n"
@@ -563,6 +582,17 @@ class TestBadInputs:
         # 1 + k_i * (t_j - t_ref) is negative above 26 degC, and the day reaches 35
         pytest.param("panel: {k_i: -1}", SIMULATE, 1,
                      "config error: panel.k_i", id="k-i-negative-photocurrent"),
+        # (t_j / t_ref) ** i_0_temp_exp overflows, or underflows to a zero saturation current
+        pytest.param("panel: {t_ref: 1.0e-300, i_0_temp_exp: 10}", SIMULATE, 1,
+                     "config error: panel.t_ref", id="t-ref-saturation-overflow"),
+        pytest.param("panel: {t_ref: 1.0e-300, i_0_temp_exp: 10}", IV_CURVE_CONFIG, 1,
+                     "config error: panel.t_ref", id="iv-t-ref-saturation-overflow"),
+        pytest.param("panel: {t_ref: 1.0e-300, i_0_temp_exp: -10}", SIMULATE, 1,
+                     "config error: panel.t_ref", id="t-ref-saturation-underflow"),
+        pytest.param("panel: {t_ref: 1.0e-300, i_0_temp_exp: -10}", IV_CURVE_CONFIG, 1,
+                     "config error: panel.t_ref", id="iv-t-ref-saturation-underflow"),
+        pytest.param("panel: {i_0_ref: 1.0e+300, t_ref: 10, i_0_temp_exp: 10}", SIMULATE, 1,
+                     "config error: panel.t_ref", id="saturation-current-infinite"),
         pytest.param("supervisor: {soc_min_release: 0.1}", SIMULATE, 1,
                      "config error: supervisor.soc_min_release",
                      id="supervisor-release-below-min"),

@@ -1,9 +1,11 @@
 """Solver contracts of the numeric kernels on random inputs."""
 
+import math
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvbatsim import _kernels
+from pvbatsim import _kernels, battery
 from pvbatsim._kernels import _pure
 
 # generic 80 W panel at 25 C
@@ -17,6 +19,21 @@ deterministic = settings(database=None, derandomize=True, deadline=None, max_exa
 
 def test_backend_name():
     assert _kernels.backend_name() == "pure"
+
+
+def _bank(c10, delta_t, n_serial, n_parallel, discharge_exp):
+    """The battery record the voltage laws read; the capacity coefficient is not one of them."""
+    return battery.BatteryParams(c_10=c10, n_serial=n_serial, n_parallel=n_parallel,
+                                 delta_t=delta_t, capacity_coeff=1.76,
+                                 discharge_exp=discharge_exp)
+
+
+BANK = _bank(C10, 0.0, N_SERIAL, N_PARALLEL, EXP)
+
+
+def _capped_exp(x):
+    """exp() saturated at 600, as the kernels evaluate it."""
+    return math.exp(600.0 if x > 600.0 else x)
 
 
 class TestDiode:
@@ -74,7 +91,7 @@ def reference_solve_diode_current(v, i_ph, i_0, r_s, r_sh, vt, tol=1e-12, max_it
             else:
                 hi = i
             arg = (v + r_s * i) / vt
-            fp = -i_0 * _pure._safe_exp(arg) * (r_s / vt) - r_s / r_sh - 1.0
+            fp = -i_0 * _capped_exp(arg) * (r_s / vt) - r_s / r_sh - 1.0
             i_new = i - f / fp
             if i_new <= lo or i_new >= hi:
                 i_new = 0.5 * (lo + hi)
@@ -98,11 +115,55 @@ class TestDiodeMatchesReference:
         assert _pure.solve_diode_current(*args) == reference_solve_diode_current(*args)
 
 
+def reference_open_circuit_voltage(i_ph, i_0, r_sh, vt, tol=1e-12, max_iter=200):
+    """The open-circuit solve with the zero-current residual written out."""
+    if i_ph <= 0.0:
+        return 0.0
+    lo = 0.0
+    hi = vt * math.log(i_ph / i_0 + 1.0) + 1.0
+    v = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        f = i_ph - i_0 * (_capped_exp(v / vt) - 1.0) - v / r_sh
+        if abs(f) <= tol:
+            return v
+        if hi - lo > 1e-6:
+            if f > 0.0:
+                lo = v
+            else:
+                hi = v
+            v = 0.5 * (lo + hi)
+        else:
+            if f > 0.0:
+                lo = v
+            else:
+                hi = v
+            fp = -i_0 * _capped_exp(v / vt) / vt - 1.0 / r_sh
+            v_new = v - f / fp
+            if v_new <= lo or v_new >= hi:
+                v_new = 0.5 * (lo + hi)
+            v = v_new
+    return v
+
+
+class TestVocMatchesReference:
+    """The open-circuit solve returns exactly what the written-out one does."""
+
+    @deterministic
+    @given(g_scale=st.floats(-0.1, 1.2), r_sh=st.floats(20.0, 2000.0),
+           vt=st.floats(0.6, 2.5), i_0=st.floats(1e-10, 1e-6))
+    @example(g_scale=1.0, r_sh=R_SH, vt=VT, i_0=I_0)   # the generic panel at 25 C
+    @example(g_scale=0.0, r_sh=R_SH, vt=VT, i_0=I_0)   # dark
+    @example(g_scale=1e-9, r_sh=R_SH, vt=VT, i_0=I_0)  # nearly dark
+    def test_bit_identical(self, g_scale, r_sh, vt, i_0):
+        args = (I_PH * g_scale, i_0, r_sh, vt)
+        assert _pure.open_circuit_voltage(*args) == reference_open_circuit_voltage(*args)
+
+
 def _bank_voltage(p, i, soc):
     i_str = abs(i) / N_PARALLEL
     if p > 0.0:
-        return _pure.discharge_voltage(soc, i_str, C10, 0.0, N_SERIAL, EXP)
-    return _pure.charge_voltage(soc, i_str, C10, 0.0, N_SERIAL)
+        return battery.discharge_voltage(soc, i_str, 0.0, BANK)
+    return battery.charge_voltage(soc, i_str, 0.0, BANK)
 
 
 def reference_battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
@@ -111,12 +172,11 @@ def reference_battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parall
     if p == 0.0:
         return 0.0, 0.0, 0
     tol = tol_rel * max(1.0, abs(p))
-    discharging = p > 0.0
+    law = battery.discharge_voltage if p > 0.0 else battery.charge_voltage
+    bank = _bank(c10, delta_t, n_serial, n_parallel, discharge_exp)
 
     def voltage(i_str):
-        if discharging:
-            return _pure.discharge_voltage(soc, i_str, c10, delta_t, n_serial, discharge_exp)
-        return _pure.charge_voltage(soc, i_str, c10, delta_t, n_serial)
+        return law(soc, i_str, delta_t, bank)
 
     i = 0.0
     v = voltage(0.0)
@@ -165,7 +225,7 @@ class TestBatteryFixedPoint:
     def test_meets_tolerance_inside_envelope(self, soc, frac):
         # deliverable discharge maximum over a 0.1..60 A current grid
         p_max = max(
-            i * _pure.discharge_voltage(soc, i, C10, 0.0, N_SERIAL, EXP)
+            i * battery.discharge_voltage(soc, i, 0.0, BANK)
             for i in (0.1 + k * 59.9 / 119 for k in range(120))
         )
         p = -2000.0 + frac * (0.9 * p_max + 2000.0)
