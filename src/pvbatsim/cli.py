@@ -18,7 +18,7 @@ from pvbatsim.config import (build_sim_config, check_panel_temperatures, default
                              load_config_file)
 from pvbatsim.errors import ConfigError, InvariantViolation, PvbatsimError
 from pvbatsim.profiles import cursor
-from pvbatsim.supervisor import SWITCH_TABLE, SupervisorMode
+from pvbatsim.supervisor import SWITCH_TABLE
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -121,8 +121,8 @@ def _cmd_iv_curve(args):
         points = pv.iv_sweep(args.g, t_j, args.points, config.panel)
         v_mpp, p_mpp = pv.mpp_oracle(args.g, t_j, config.panel)
         fh.write("v,i,p\n")
-        for pt in points:
-            fh.write(f"{pt.v_pv!r},{pt.i_pv!r},{pt.p_pv!r}\n")
+        for v, i, p in points:
+            fh.write(f"{v!r},{i!r},{p!r}\n")
         fh.write(f"mpp,{v_mpp!r},{p_mpp!r}\n")
     print(f"iv-curve: {args.points} points, v_mpp={v_mpp:.4f} V, p_mpp={p_mpp:.4f} W")
     return EXIT_OK
@@ -213,13 +213,8 @@ _MODE_TABLE_LINES = [
 
 
 def _cmd_modes_check(_args):
-    def word(flag):
-        return "On" if flag else "Off"
-
-    lines = []
-    for mode in SupervisorMode:
-        sw = SWITCH_TABLE[mode]
-        lines.append(f"Mode{int(mode)} {word(sw.k1)} {word(sw.k2)} {word(sw.k3)}")
+    lines = [f"Mode{mode} " + " ".join("On" if k else "Off" for k in switches)
+             for mode, switches in SWITCH_TABLE.items()]
     for line in lines:
         print(line)
     if lines != _MODE_TABLE_LINES:

@@ -284,6 +284,10 @@ def build_sim_config(data=None, mppt_override=None):
     sim = _checked("simulation", data.get("simulation", {}))
     if sim["t_end"] < sim["dt"]:
         raise ConfigError(f"simulation.t_end_s must be >= {sim['dt']}")
+    # a finite step count may be huge: the run streams, so it is what was asked for
+    if not math.isfinite(sim["t_end"] / sim["dt"]):
+        raise ConfigError(f"simulation.dt_s ({sim['dt']:g}) is too small: "
+                          "simulation.t_end_s / dt_s must be a finite step count")
     sim["mppt_kind"] = mppt_override or sim["mppt_kind"]
     if sim["mppt_kind"] not in ("po", "flc"):
         raise ConfigError(f"simulation.mppt must be 'po' or 'flc', got {sim['mppt_kind']!r}")
@@ -297,6 +301,10 @@ def build_sim_config(data=None, mppt_override=None):
     mppt = _checked("mppt", data.get("mppt", {}))
     if mppt["d0"] > converter["d_max"]:
         raise ConfigError(f"mppt.d0 must be <= {converter['d_max']}")
+    t_mppt = mppt["t_mppt"]
+    if not (math.isfinite(sim["t_end"] / t_mppt) and math.isfinite(t_mppt / sim["dt"])):
+        raise ConfigError(f"mppt.t_mppt_s ({t_mppt:g}) must give finite step counts: "
+                          "simulation.t_end_s / t_mppt_s and t_mppt_s / simulation.dt_s")
     fuzzy = mp.FuzzyConfig(**_checked("mppt.fuzzy", data.get("mppt", {}).get("fuzzy", {})))
 
     socs = _checked("supervisor", data.get("supervisor", {}))

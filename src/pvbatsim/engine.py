@@ -40,12 +40,6 @@ FLAG_SOC_CLAMP = 2     # coulomb counter hit an SOC/charge bound
 FLAG_DUTY_LIMIT = 4    # duty cycle sits on a clamp bound
 FLAG_PROTECTIVE = 8    # singularity guard downgraded the mode
 
-#: Mode -> its record columns ``(mode, k1, k2, k3)`` as ints.
-_MODE_COLUMNS = {
-    mode: (int(mode), int(sw.k1), int(sw.k2), int(sw.k3))
-    for mode, sw in sup.SWITCH_TABLE.items()
-}
-
 
 def step_count(t_end, dt):
     """Steps of length ``dt`` in ``t_end``: the floor of the quotient.
@@ -211,6 +205,7 @@ def _loop(config, state, ledger, first, times):
     t_amb_at = cursor(config.temperature)
     p_load_at = cursor(config.load)
     mppt_every = config.mppt_every
+    switch_table = sup.SWITCH_TABLE
     bat_state, mppt_state, sup_state = state.bat, state.mppt, state.sup
     d_max = mppt_state.d_max
     v_bus, p_meas, v_meas, have_meas, since_mppt = (
@@ -273,7 +268,7 @@ def _loop(config, state, ledger, first, times):
             if bat_state.clamp_events > before:
                 flags |= FLAG_SOC_CLAMP
 
-            mode_column, k1, k2, k3 = _MODE_COLUMNS[mode]
+            k1, k2, k3 = switch_table[mode]
             connected = k1 or k2
             v_bus = v_bat if (k1 or k3) else v_bus_nominal
 
@@ -288,23 +283,23 @@ def _loop(config, state, ledger, first, times):
             e_loss += ((p_port - p_avail) if connected else 0.0) * dt_h
 
             # power balance of the row, by the mode's routing identity
-            if mode_column == 1:
+            if mode == 1:
                 err = abs(p_pv_used - (p_served - p_bat) - p_curt)
-            elif mode_column == 2 or mode_column == 3:
+            elif mode == 2 or mode == 3:
                 err = abs(p_served - (p_pv_used + p_bat))
-            elif mode_column == 4:
+            elif mode == 4:
                 err = abs(p_served - min(p_pv_used, p_load)) + abs(p_bat)
             else:
                 err = abs(p_served) + abs(p_bat) + abs(p_pv_used)
             if err > BALANCE_TOL * max(1.0, p_load, p_pv_used):
                 raise InvariantViolation(
-                    f"step {k} (t={t}): mode {mode_column} power balance off by {err:.3e} W"
+                    f"step {k} (t={t}): mode {mode} power balance off by {err:.3e} W"
                 )
 
             yield (
                 t, g, t_amb, p_pv_used, p_load, p_served, p_bat, bat_state.soc, v_bat,
                 v_cand if connected else 0.0, i_pv if connected else 0.0, d,
-                mode_column, k1, k2, k3, p_curt, flags,
+                mode, k1, k2, k3, p_curt, flags,
             )
     finally:
         state.v_bus, state.p_meas, state.v_meas, state.have_meas, state.steps_since_mppt = (

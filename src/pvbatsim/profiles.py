@@ -160,15 +160,11 @@ def synthetic_day(g_peak, t_min, t_max, load_blocks, sunrise_h, sunset_h, temp_l
     times = []
     g_values = []
     temp_values = []
-    t = 0.0
-    while t < day_s:
+    for k in range(int(day_s / SYNTHETIC_KNOT_S) + 1):
+        t = k * SYNTHETIC_KNOT_S
         times.append(t)
         g_values.append(g_peak * irr_shape(t))
         temp_values.append(t_min + (t_max - t_min) * temp_scale * irr_shape(t, lag=temp_lag_h * 3600.0))
-        t += SYNTHETIC_KNOT_S
-    times.append(day_s)
-    g_values.append(g_peak * irr_shape(day_s))
-    temp_values.append(t_min + (t_max - t_min) * temp_scale * irr_shape(day_s, lag=temp_lag_h * 3600.0))
 
     irradiance = TimeSeriesProfile(tuple(times), tuple(g_values), "irradiance_wm2")
     temperature = TimeSeriesProfile(tuple(times), tuple(temp_values), "temperature_c")

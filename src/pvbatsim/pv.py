@@ -76,15 +76,6 @@ class PvPanelParams:
         return self.i_0_ref * (t_j / self.t_ref) ** self.i_0_temp_exp
 
 
-@dataclass(slots=True)
-class PvOperatingPoint:
-    """One electrical operating point of the array: ``(v_pv, i_pv, p_pv)``."""
-
-    v_pv: float
-    i_pv: float
-    p_pv: float
-
-
 def _panel_terms(g, t_j, params):
     """Photocurrent, saturation current and thermal voltage of one panel.
 
@@ -97,15 +88,6 @@ def _panel_terms(g, t_j, params):
         raise DomainError(f"junction temperature must be > 0 K, got {t_j}")
     i_ph = params.i_ph_ref * (g / params.g_ref) * (1.0 + params.k_i * (t_j - params.t_ref))
     return i_ph, params.saturation_current(t_j), params.thermal_voltage(t_j)
-
-
-def photo_current(g, t_j, params):
-    """Panel photocurrent at irradiance ``g`` [W/m2] and temperature ``t_j`` [K].
-
-    Linear in irradiance with a fractional temperature correction:
-    ``i_ph_ref * (g / g_ref) * (1 + k_i * (t_j - t_ref))``.
-    """
-    return _panel_terms(g, t_j, params)[0]
 
 
 def _array_current(v_panel, i_ph, i_0, vt, params):
@@ -166,7 +148,7 @@ def open_circuit_voltage(g, t_j, params):
 
 
 def iv_sweep(g, t_j, n_points, params):
-    """Sweep ``n_points`` operating points at voltages evenly spaced on [0, Voc]."""
+    """Sweep ``n_points`` array points ``(v, i, p)`` at voltages evenly spaced on [0, Voc]."""
     if n_points < 2:
         raise DomainError("iv_sweep needs n_points >= 2")
     v_oc = open_circuit_voltage(g, t_j, params)
@@ -175,7 +157,7 @@ def iv_sweep(g, t_j, n_points, params):
     for k in range(n_points):
         v = k * step
         i = solve_operating_current(v, g, t_j, params)
-        points.append(PvOperatingPoint(v, i, v * i))
+        points.append((v, i, v * i))
     return points
 
 

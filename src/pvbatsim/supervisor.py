@@ -2,43 +2,30 @@
 
 Routes power among PV array, battery bank and load through three switches:
 K1 = PV-to-battery charging path, K2 = PV-to-load path, K3 = battery-to-load
-path. Battery protection uses latched SOC hysteresis bands so a threshold
-crossing causes at most one mode change.
+path. Battery protection uses latched SOC hysteresis bands. In open loop,
+where SOC does not depend on the mode, a threshold crossing causes at most
+one mode change; in closed loop it does not yet, because the latch reads SOC
+under load, which is lower than at rest.
 """
 
-import enum
 from dataclasses import dataclass
 
 from pvbatsim.errors import DomainError
 
+MODE1 = 1  # PV feeds the load and recharges the battery
+MODE2 = 2  # PV insufficient, battery assists
+MODE3 = 3  # no usable PV, battery alone carries the load
+MODE4 = 4  # battery isolated (full or idle), PV serves the load directly
+MODE5 = 5  # battery depleted and PV absent/insufficient: load shed
 
-class SupervisorMode(enum.IntEnum):
-    MODE1 = 1  # PV feeds the load and recharges the battery
-    MODE2 = 2  # PV insufficient, battery assists
-    MODE3 = 3  # no usable PV, battery alone carries the load
-    MODE4 = 4  # battery isolated (full or idle), PV serves the load directly
-    MODE5 = 5  # battery depleted and PV absent/insufficient: load shed
-
-
-#: The members as module names: a module global loads faster than an Enum
-#: class attribute, and select_mode and route_power run once per step.
-MODE1, MODE2, MODE3, MODE4, MODE5 = SupervisorMode
-
-
-@dataclass(frozen=True)
-class SwitchStates:
-    k1: bool = False
-    k2: bool = False
-    k3: bool = False
-
-
-#: Mode -> (K1, K2, K3) switch table.
+#: Mode -> (K1, K2, K3), 1 for a closed switch: the one statement of the PMC's
+#: switches. The step loop writes these ints as the record's switch columns.
 SWITCH_TABLE = {
-    SupervisorMode.MODE1: SwitchStates(k1=True, k2=True, k3=False),
-    SupervisorMode.MODE2: SwitchStates(k1=False, k2=True, k3=True),
-    SupervisorMode.MODE3: SwitchStates(k1=False, k2=False, k3=True),
-    SupervisorMode.MODE4: SwitchStates(k1=False, k2=True, k3=False),
-    SupervisorMode.MODE5: SwitchStates(k1=False, k2=False, k3=False),
+    MODE1: (1, 1, 0),
+    MODE2: (0, 1, 1),
+    MODE3: (0, 0, 1),
+    MODE4: (0, 1, 0),
+    MODE5: (0, 0, 0),
 }
 
 
@@ -67,7 +54,7 @@ class SupervisorState:
     discharging) before the release threshold is reached.
     """
 
-    mode: SupervisorMode = SupervisorMode.MODE4
+    mode: int = MODE4
     charge_blocked: bool = False
     discharge_blocked: bool = False
 
@@ -118,13 +105,13 @@ def route_power(mode, p_pv, p_load):
     beyond the load), nothing in modes 3/5 where both PV switches are open
     and the array idles at open circuit.
     """
-    if mode is MODE1:
+    if mode == MODE1:
         return -(p_pv - p_load), p_load, 0.0, p_pv
-    if mode is MODE2:
+    if mode == MODE2:
         return p_load - p_pv, p_load, 0.0, p_pv
-    if mode is MODE3:
+    if mode == MODE3:
         return p_load, p_load, 0.0, 0.0
-    if mode is MODE4:
+    if mode == MODE4:
         served = p_pv if p_pv < p_load else p_load
         return 0.0, served, p_pv - served, p_pv
     return 0.0, 0.0, 0.0, 0.0

@@ -96,10 +96,10 @@ def test_criterion_4_diode_fidelity():
     points = pv.iv_sweep(1000.0, 298.15, 1000, panel)
     vt = panel.thermal_voltage(298.15)
     worst = 0.0
-    for pt in points:
+    for v_pv, i_pv, _ in points:
         # per-panel residual recomputed from scratch
-        v_panel = pt.v_pv / panel.n_panels_series
-        i_panel = pt.i_pv / panel.n_panels_parallel
+        v_panel = v_pv / panel.n_panels_series
+        i_panel = i_pv / panel.n_panels_parallel
         arg = (v_panel + panel.r_s * i_panel) / vt
         res = (
             panel.i_ph_ref
@@ -109,9 +109,9 @@ def test_criterion_4_diode_fidelity():
         )
         worst = max(worst, abs(res))
     assert worst <= 1e-9
-    currents = [pt.i_pv for pt in points]
+    currents = [i for _, i, _ in points]
     assert all(a > b for a, b in zip(currents, currents[1:]))
-    powers = [pt.p_pv for pt in points]
+    powers = [p for _, _, p in points]
     diffs = [b - a for a, b in zip(powers, powers[1:])]
     changes = sum(1 for a, b in zip(diffs, diffs[1:]) if (a > 0) != (b > 0))
     assert changes == 1
@@ -194,11 +194,11 @@ def test_criterion_7_supervisor_safety():
         p_pv = rng.choice([0.0, 0.5, 80.0, 250.0, 600.0])
         p_load = rng.choice([0.0, 60.0, 150.0, 300.0])
         state = sup.select_mode(p_pv, p_load, soc, state, config)
-        sw = sup.SWITCH_TABLE[state.mode]
+        k1, _, k3 = sup.SWITCH_TABLE[state.mode]
         if soc <= config.soc_min:
-            assert not sw.k3, f"K3 closed at soc={soc}"
+            assert not k3, f"K3 closed at soc={soc}"
         if soc >= config.soc_max:
-            assert not sw.k1, f"K1 closed at soc={soc}"
+            assert not k1, f"K1 closed at soc={soc}"
         # hysteresis bookkeeping: once latched, re-entry before the release
         # threshold counts as chatter
         if soc >= config.soc_max:
@@ -209,11 +209,9 @@ def test_criterion_7_supervisor_safety():
             lower_latched = True
         elif soc >= config.soc_min_release:
             lower_latched = False
-        if upper_latched and state.mode == sup.SupervisorMode.MODE1:
+        if upper_latched and state.mode == sup.MODE1:
             mode1_entries_while_latched += 1
-        if lower_latched and state.mode in (
-            sup.SupervisorMode.MODE2, sup.SupervisorMode.MODE3
-        ):
+        if lower_latched and state.mode in (sup.MODE2, sup.MODE3):
             discharge_entries_while_latched += 1
     assert mode1_entries_while_latched == 0
     assert discharge_entries_while_latched == 0

@@ -456,6 +456,7 @@ class TestMpptCompare:
 
 
 SIMULATE = ["simulate", "--config", "{tmp}/case.yaml", "--out", "{tmp}/o.csv"]
+MPPT_COMPARE = ["mppt-compare", "--config", "{tmp}/case.yaml", "--out", "{tmp}/o.csv"]
 IV_CURVE = ["iv-curve", "--out", "{tmp}/o.csv"]
 IV_CURVE_CONFIG = IV_CURVE + ["--config", "{tmp}/case.yaml", "--points", "5"]
 CSV_LOAD = ("profiles:\n  irradiance: {csv: {tmp}/irr.csv}\n"
@@ -604,6 +605,13 @@ class TestBadInputs:
         pytest.param("profiles: {synthetic: {sunrise_h: 18, sunset_h: 6}}", SIMULATE, 1,
                      "config error: profiles.synthetic.sunrise_h",
                      id="synthetic-sunrise-after-sunset"),
+        # step counts and the controller period in steps that overflow to infinity
+        pytest.param("simulation: {dt_s: 5.0e-324, t_end_s: 60}", SIMULATE, 1,
+                     "config error: simulation.dt_s", id="step-count-infinite"),
+        pytest.param("simulation: {t_end_s: 60}\nmppt: {t_mppt_s: 5.0e-324}", MPPT_COMPARE, 1,
+                     "config error: mppt.t_mppt_s", id="tracking-step-count-infinite"),
+        pytest.param("simulation: {dt_s: 1.0e-10, t_end_s: 60}\nmppt: {t_mppt_s: 1.0e+300}",
+                     SIMULATE, 1, "config error: mppt.t_mppt_s", id="mppt-period-infinite"),
     ])
     def test_exit_code_and_name(self, yaml_text, argv, code, needle, input_files, capsys):
         tmp = str(input_files)

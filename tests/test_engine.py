@@ -429,7 +429,7 @@ def layered_step(config, state, t, ledger, step_index):
             battery.current_for_power(p_bat_set, bat_state, params) if p_bat_set != 0.0 else 0.0
         )
     except SingularityGuardError:
-        mode = supervisor.SupervisorMode.MODE4 if p_bat_set < 0 else supervisor.SupervisorMode.MODE5
+        mode = supervisor.MODE4 if p_bat_set < 0 else supervisor.MODE5
         sup_state.mode = mode
         p_bat_set, p_served, p_curt, p_pv_used = supervisor.route_power(mode, p_avail, p_load)
         i_bat = 0.0
@@ -445,15 +445,14 @@ def layered_step(config, state, t, ledger, step_index):
     if bat_state.clamp_events > before:
         flags |= engine.FLAG_SOC_CLAMP
 
-    switches = supervisor.SWITCH_TABLE[mode]
-    k1, k2, k3 = int(switches.k1), int(switches.k2), int(switches.k3)
+    k1, k2, k3 = supervisor.SWITCH_TABLE[mode]
     connected = k1 or k2
     state.v_bus = v_bat if (k1 or k3) else config.v_bus_nominal
 
     record = engine.SimRecord(
         t, g, t_amb, p_pv_used, p_load, p_served, p_bat, bat_state.soc, v_bat,
         v_cand if connected else 0.0, i_pv if connected else 0.0, d,
-        int(mode), k1, k2, k3, p_curt, flags,
+        mode, k1, k2, k3, p_curt, flags,
     )
 
     ledger.e_pv += (p_port if connected else 0.0) * dt_h

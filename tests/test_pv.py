@@ -81,23 +81,23 @@ def array(panel):
 
 class TestPhotoCurrent:
     def test_reference_conditions_identity(self, panel):
-        assert pv.photo_current(G_REF, T_REF, panel) == panel.i_ph_ref
+        assert pv._panel_terms(G_REF, T_REF, panel)[0] == panel.i_ph_ref
 
     def test_zero_irradiance_zero_current(self, panel):
-        assert pv.photo_current(0.0, 310.0, panel) == 0.0
+        assert pv._panel_terms(0.0, 310.0, panel)[0] == 0.0
 
     def test_linear_scaling(self, panel):
-        assert pv.photo_current(G_REF / 2, T_REF, panel) == pytest.approx(
+        assert pv._panel_terms(G_REF / 2, T_REF, panel)[0] == pytest.approx(
             panel.i_ph_ref / 2, rel=1e-15
         )
 
     def test_temperature_coefficient(self, panel):
         expected = panel.i_ph_ref * (1.0 + panel.k_i * 10.0)
-        assert pv.photo_current(G_REF, T_REF + 10.0, panel) == pytest.approx(expected)
+        assert pv._panel_terms(G_REF, T_REF + 10.0, panel)[0] == pytest.approx(expected)
 
     def test_negative_irradiance_rejected(self, panel):
         with pytest.raises(DomainError):
-            pv.photo_current(-1.0, T_REF, panel)
+            pv._panel_terms(-1.0, T_REF, panel)
 
 
 class TestSolveOperatingCurrent:
@@ -124,7 +124,7 @@ class TestSolveOperatingCurrent:
 
     def test_knee_curve_strictly_decreasing(self, panel):
         points = pv.iv_sweep(G_REF, T_REF, 200, panel)
-        currents = [p.i_pv for p in points]
+        currents = [i for _, i, _ in points]
         assert all(a > b for a, b in zip(currents, currents[1:]))
 
     def test_negative_voltage_rejected(self, panel):
@@ -132,32 +132,33 @@ class TestSolveOperatingCurrent:
             pv.solve_operating_current(-0.1, G_REF, T_REF, panel)
 
     def test_residual_contract_along_sweep(self, panel):
-        for point in pv.iv_sweep(G_REF, T_REF, 100, panel):
-            res = pv.solve_operating_current(point.v_pv, G_REF, T_REF, panel) - point.i_pv
+        for v_pv, i_pv, _ in pv.iv_sweep(G_REF, T_REF, 100, panel):
+            res = pv.solve_operating_current(v_pv, G_REF, T_REF, panel) - i_pv
             assert res == 0.0  # deterministic solver
             # recompute the implicit-equation residual from scratch
             vt = panel.thermal_voltage(T_REF)
             lhs = (
                 panel.i_ph_ref
-                - panel.i_0_ref * (math.exp((point.v_pv + panel.r_s * point.i_pv) / vt) - 1.0)
-                - (point.v_pv + panel.r_s * point.i_pv) / panel.r_sh
+                - panel.i_0_ref * (math.exp((v_pv + panel.r_s * i_pv) / vt) - 1.0)
+                - (v_pv + panel.r_s * i_pv) / panel.r_sh
             )
-            assert abs(lhs - point.i_pv) <= 1e-9
+            assert abs(lhs - i_pv) <= 1e-9
 
 
 class TestIvSweep:
     def test_two_points_are_the_endpoints(self, panel):
         points = pv.iv_sweep(G_REF, T_REF, 2, panel)
         assert len(points) == 2
-        assert points[0].v_pv == 0.0
+        (v_0, i_0, _), (v_1, i_1, _) = points
+        assert v_0 == 0.0
         i_sc = pv.solve_operating_current(0.0, G_REF, T_REF, panel)
-        assert points[0].i_pv == i_sc
-        assert points[1].v_pv == pytest.approx(pv.open_circuit_voltage(G_REF, T_REF, panel))
-        assert abs(points[1].i_pv) <= 1e-9
+        assert i_0 == i_sc
+        assert v_1 == pytest.approx(pv.open_circuit_voltage(G_REF, T_REF, panel))
+        assert abs(i_1) <= 1e-9
 
     def test_powers_unimodal(self, panel):
         points = pv.iv_sweep(G_REF, T_REF, 200, panel)
-        powers = [p.p_pv for p in points]
+        powers = [p for _, _, p in points]
         diffs = [b - a for a, b in zip(powers, powers[1:])]
         sign_changes = sum(
             1 for a, b in zip(diffs, diffs[1:]) if (a > 0) != (b > 0)
@@ -169,8 +170,8 @@ class TestIvSweep:
             pv.iv_sweep(G_REF, T_REF, 1, panel)
 
     def test_operating_point_invariant(self, panel):
-        for point in pv.iv_sweep(800.0, 310.0, 50, panel):
-            assert point.p_pv == point.v_pv * point.i_pv
+        for v_pv, i_pv, p_pv in pv.iv_sweep(800.0, 310.0, 50, panel):
+            assert p_pv == v_pv * i_pv
 
 
 class TestMppOracle:
@@ -179,8 +180,8 @@ class TestMppOracle:
 
     def test_dominates_sweep(self, panel):
         _, p_mpp = pv.mpp_oracle(G_REF, T_REF, panel)
-        for point in pv.iv_sweep(G_REF, T_REF, 1000, panel):
-            assert p_mpp + 1e-9 >= point.p_pv
+        for _, _, p_pv in pv.iv_sweep(G_REF, T_REF, 1000, panel):
+            assert p_mpp + 1e-9 >= p_pv
 
     def test_monotone_in_irradiance(self, panel):
         powers = [pv.mpp_oracle(g, T_REF, panel)[1] for g in (1000.0, 800.0, 600.0)]
@@ -229,7 +230,7 @@ def solve_then_clamp(v_pv, g, t_j, params):
 
 def zero_current_residual(v_pv, g, t_j, params):
     return _kernels.diode_residual(
-        0.0, v_pv / params.n_panels_series, pv.photo_current(g, t_j, params),
+        0.0, v_pv / params.n_panels_series, pv._panel_terms(g, t_j, params)[0],
         params.saturation_current(t_j), params.r_s, params.r_sh, params.thermal_voltage(t_j),
     )
 

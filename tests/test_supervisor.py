@@ -6,7 +6,6 @@ import pytest
 from pvbatsim import supervisor as sup
 from pvbatsim.config import build_sim_config
 from pvbatsim.errors import ConfigError, DomainError
-from pvbatsim.supervisor import SupervisorMode as M
 
 # Independent transcription of the mode/switch table.
 EXPECTED_SWITCHES = {
@@ -30,38 +29,37 @@ def pick(p_pv, p_load, soc, config, state=None):
 
 class TestSwitchTable:
     def test_exhaustive_match(self):
-        for mode in M:
-            sw = sup.SWITCH_TABLE[mode]
-            assert (sw.k1, sw.k2, sw.k3) == EXPECTED_SWITCHES[int(mode)]
+        for mode, expected in EXPECTED_SWITCHES.items():
+            assert sup.SWITCH_TABLE[mode] == expected
 
     def test_five_modes(self):
-        assert len(M) == 5
+        assert (sup.MODE1, sup.MODE2, sup.MODE3, sup.MODE4, sup.MODE5) == (1, 2, 3, 4, 5)
         assert len(sup.SWITCH_TABLE) == 5
 
 
 class TestSelectMode:
     def test_surplus_and_chargeable(self, config):
-        assert pick(500.0, 200.0, 0.5, config) == M.MODE1
+        assert pick(500.0, 200.0, 0.5, config) == sup.MODE1
 
     def test_deficit_with_battery(self, config):
-        assert pick(100.0, 200.0, 0.5, config) == M.MODE2
+        assert pick(100.0, 200.0, 0.5, config) == sup.MODE2
 
     def test_depleted_night(self, config):
         # below soc_min the battery may not discharge: load is shed
-        assert pick(0.0, 200.0, 0.15, config) == M.MODE5
+        assert pick(0.0, 200.0, 0.15, config) == sup.MODE5
 
     def test_night_with_charge(self, config):
-        assert pick(0.0, 200.0, 0.5, config) == M.MODE3
+        assert pick(0.0, 200.0, 0.5, config) == sup.MODE3
 
     def test_surplus_but_full(self, config):
-        assert pick(500.0, 200.0, 0.95, config) == M.MODE4
+        assert pick(500.0, 200.0, 0.95, config) == sup.MODE4
 
     def test_deficit_and_depleted_with_some_pv(self, config):
-        assert pick(100.0, 200.0, 0.10, config) == M.MODE5
+        assert pick(100.0, 200.0, 0.10, config) == sup.MODE5
 
     def test_balanced_band_serves_load_directly(self, config):
         # PV covers the load but the surplus is below p_epsilon: no battery action
-        assert pick(200.5, 200.0, 0.5, config) == M.MODE4
+        assert pick(200.5, 200.0, 0.5, config) == sup.MODE4
 
     def test_input_validation(self, config):
         with pytest.raises(DomainError):
@@ -78,14 +76,14 @@ class TestSelectMode:
 
 class TestBatteryPowerSetpoint:
     def test_mode1_charges_surplus(self):
-        assert sup.route_power(M.MODE1, 500.0, 200.0)[0] == -300.0
+        assert sup.route_power(sup.MODE1, 500.0, 200.0)[0] == -300.0
 
     def test_mode3_carries_load(self):
-        assert sup.route_power(M.MODE3, 0.0, 200.0)[0] == 200.0
+        assert sup.route_power(sup.MODE3, 0.0, 200.0)[0] == 200.0
 
     def test_mode5_idle(self):
-        assert sup.route_power(M.MODE5, 0.0, 200.0)[0] == 0.0
-        assert sup.route_power(M.MODE5, 0.0, 200.0)[1] == 0.0
+        assert sup.route_power(sup.MODE5, 0.0, 200.0)[0] == 0.0
+        assert sup.route_power(sup.MODE5, 0.0, 200.0)[1] == 0.0
 
     def test_setpoint_consistent_with_switches(self, config):
         rng = np.random.RandomState(19)
@@ -95,24 +93,24 @@ class TestBatteryPowerSetpoint:
             p_load = rng.uniform(0.0, 400.0)
             soc = rng.uniform(0.0, 1.0)
             state = sup.select_mode(p_pv, p_load, soc, state, config)
-            sw = sup.SWITCH_TABLE[state.mode]
+            k1, _, k3 = sup.SWITCH_TABLE[state.mode]
             p_bat = sup.route_power(state.mode, p_pv, p_load)[0]
             if p_bat < 0:
-                assert sw.k1  # charging requires the PV->battery path
+                assert k1  # charging requires the PV->battery path
             if p_bat > 0:
-                assert sw.k3  # discharging requires the battery->load path
+                assert k3  # discharging requires the battery->load path
 
 
 class TestRoutePower:
     def test_mode4_curtails_surplus(self):
-        p_bat, served, curtailed, used = sup.route_power(M.MODE4, 500.0, 200.0)
+        p_bat, served, curtailed, used = sup.route_power(sup.MODE4, 500.0, 200.0)
         assert p_bat == 0.0
         assert served == 200.0
         assert curtailed == 300.0
         assert used == 500.0
 
     def test_mode3_ignores_trace_pv(self):
-        p_bat, served, curtailed, used = sup.route_power(M.MODE3, 0.4, 200.0)
+        p_bat, served, curtailed, used = sup.route_power(sup.MODE3, 0.4, 200.0)
         assert used == 0.0  # array is open-circuited, nothing generated
         assert curtailed == 0.0
         assert p_bat == 200.0 and served == 200.0
@@ -127,11 +125,11 @@ class TestSafetyProperties:
             p_load = rng.uniform(0.0, 400.0)
             soc = rng.uniform(0.0, 1.0)
             state = sup.select_mode(p_pv, p_load, soc, state, config)
-            sw = sup.SWITCH_TABLE[state.mode]
+            k1, _, k3 = sup.SWITCH_TABLE[state.mode]
             if soc <= config.soc_min:
-                assert not sw.k3
+                assert not k3
             if soc >= config.soc_max:
-                assert not sw.k1
+                assert not k1
 
     def test_totality(self, config):
         rng = np.random.RandomState(37)
@@ -140,7 +138,7 @@ class TestSafetyProperties:
             state = sup.select_mode(
                 rng.uniform(0, 1000), rng.uniform(0, 1000), rng.uniform(0, 1), state, config
             )
-            assert state.mode in M
+            assert state.mode in sup.SWITCH_TABLE
             assert sup.SWITCH_TABLE[state.mode] is not None
 
 
@@ -149,30 +147,30 @@ class TestHysteresis:
         # battery just latched full; PV surplus persists while SOC drifts
         # inside the (release, max) band: must not return to MODE1
         state = sup.select_mode(500.0, 200.0, config.soc_max, sup.SupervisorState(), config)
-        assert state.mode == M.MODE4
+        assert state.mode == sup.MODE4
         for soc in (0.895, 0.885, 0.875, 0.865, 0.855):
             state = sup.select_mode(500.0, 200.0, soc, state, config)
-            assert state.mode == M.MODE4
+            assert state.mode == sup.MODE4
         state = sup.select_mode(500.0, 200.0, config.soc_max_release, state, config)
-        assert state.mode == M.MODE1
+        assert state.mode == sup.MODE1
 
     def test_latch_survives_pv_dips(self, config):
         # a cloud passes while latched: mode changes, the latch must not reset
         state = sup.select_mode(500.0, 200.0, 0.91, sup.SupervisorState(), config)
-        assert state.mode == M.MODE4
+        assert state.mode == sup.MODE4
         state = sup.select_mode(50.0, 200.0, 0.89, state, config)
-        assert state.mode == M.MODE2
+        assert state.mode == sup.MODE2
         state = sup.select_mode(500.0, 200.0, 0.88, state, config)
-        assert state.mode == M.MODE4  # still above release: charging stays blocked
+        assert state.mode == sup.MODE4  # still above release: charging stays blocked
 
     def test_mode5_holds_until_release(self, config):
         state = sup.select_mode(0.0, 200.0, config.soc_min, sup.SupervisorState(), config)
-        assert state.mode == M.MODE5
+        assert state.mode == sup.MODE5
         for soc in (0.21, 0.22, 0.23, 0.24):
             state = sup.select_mode(0.0, 200.0, soc, state, config)
-            assert state.mode == M.MODE5
+            assert state.mode == sup.MODE5
         state = sup.select_mode(0.0, 200.0, config.soc_min_release, state, config)
-        assert state.mode == M.MODE3
+        assert state.mode == sup.MODE3
 
     def test_at_most_one_transition_per_crossing(self, config):
         # adversarial random walk: within any residency of the upper band
@@ -195,6 +193,6 @@ class TestHysteresis:
             elif soc >= config.soc_min_release:
                 lower_latched = False
             if upper_latched:
-                assert state.mode != M.MODE1
+                assert state.mode != sup.MODE1
             if lower_latched:
-                assert state.mode not in (M.MODE2, M.MODE3)
+                assert state.mode not in (sup.MODE2, sup.MODE3)
