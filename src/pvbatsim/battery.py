@@ -39,24 +39,22 @@ class BatteryParams:
 
 @dataclass(slots=True)
 class BatteryState:
-    """SOC, extracted charge and the last non-idle regime, updated in place.
+    """SOC, extracted charge and the last current's direction, updated in place.
 
-    ``q`` is the bank-level extracted charge [Ah]. ``mode_flag`` remembers the
-    regime used to pick the open-circuit voltage branch at zero current.
-    ``clamp_events`` counts SOC/charge clampings since the state was created.
-    :func:`soc_update` clamps what it writes.
+    ``q`` is the bank-level extracted charge [Ah]. ``charging``, set by each
+    non-zero current, picks the open-circuit branch of :func:`terminal_voltage`
+    at zero current. :func:`soc_update` clamps what it writes.
     """
 
     soc: float = 1.0
     q: float = 0.0
-    mode_flag: str = "idle"
-    clamp_events: int = 0
+    charging: bool = False
 
 
 def state_for_soc(soc, params):
     """Initial state holding ``soc``, with ``q`` consistent with the capacity at rest."""
     cap = bank_capacity(0.0, params)
-    return BatteryState(soc=soc, q=(1.0 - soc) * cap, mode_flag="idle")
+    return BatteryState(soc=soc, q=(1.0 - soc) * cap)
 
 
 def capacity(i_bat, delta_t, params):
@@ -136,7 +134,7 @@ def terminal_voltage(state, i_bat, params):
         return discharge_voltage(state.soc, i_str, dt, params)
     if i_bat < 0:
         return charge_voltage(state.soc, i_str, dt, params)
-    if state.mode_flag == "charging":
+    if state.charging:
         return charge_voltage(state.soc, 0.0, dt, params)
     return discharge_voltage(state.soc, 0.0, dt, params)
 
@@ -145,29 +143,27 @@ def soc_update(state, i_bat, dt_h, params):
     """Coulomb-counting update over ``dt_h`` hours at signed bank current ``i_bat``.
 
     Discharge (positive current) grows the extracted charge; charging shrinks
-    it. Charge and SOC are clamped to their physical ranges and clampings are
-    counted. Updates ``state`` in place and returns it.
+    it. Charge and SOC are clamped to their physical ranges. Updates ``state``
+    in place and returns whether it clamped either.
     """
     if dt_h <= 0:
         raise DomainError("dt_h must be > 0")
     q = state.q + i_bat * dt_h
-    if q < 0.0:
+    clamped = q < 0.0
+    if clamped:
         q = 0.0
-        state.clamp_events += 1
     soc = 1.0 - q / bank_capacity(i_bat, params)
     if soc < 0.0:
         soc = 0.0
-        state.clamp_events += 1
+        clamped = True
     elif soc > 1.0:
         soc = 1.0
-        state.clamp_events += 1
+        clamped = True
     state.soc = soc
     state.q = q
-    if i_bat > 0:
-        state.mode_flag = "discharging"
-    elif i_bat < 0:
-        state.mode_flag = "charging"
-    return state
+    if i_bat != 0.0:
+        state.charging = i_bat < 0
+    return clamped
 
 
 def current_for_power(p_bat, state, params):
@@ -188,7 +184,7 @@ def current_for_power(p_bat, state, params):
         raise SingularityGuardError(
             f"cannot charge at soc={state.soc:.4f} (ceiling {SOC_CEILING})"
         )
-    i, residual, iters = _kernels.battery_current_for_power(
+    i, residual, _ = _kernels.battery_current_for_power(
         p_bat,
         state.soc,
         params.c_10,
@@ -199,8 +195,6 @@ def current_for_power(p_bat, state, params):
     )
     if abs(residual) > 1e-9 * max(1.0, abs(p_bat)):
         raise ConvergenceError(
-            f"battery current fixed point stalled at residual {residual:.3e} W",
-            residual=residual,
-            iterations=iters,
+            f"battery current fixed point stalled at residual {residual:.3e} W"
         )
     return i

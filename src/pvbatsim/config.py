@@ -44,13 +44,13 @@ _SCHEMA = (
     # a generic 80 W / 36-cell panel: at 1000 W/m2 and 25 C it yields Isc 4.95 A,
     # Voc 21.7 V, Vmpp 17.7 V and Pmpp 80.4 W
     ("panel", "i_ph_ref", "i_ph_ref", 4.95, _POSITIVE),
+    # and a saturation current in [I_0_MIN, I_0_MAX] over the temperature profile
     ("panel", "i_0_ref", "i_0_ref", 7.0e-8, _POSITIVE),
     ("panel", "r_s", "r_s", 0.16, _NON_NEGATIVE),
     ("panel", "r_sh", "r_sh", 200.0, _POSITIVE),
     ("panel", "a", "a", 1.3, {"minimum": 1, "maximum": 2}),
     ("panel", "n_s", "n_s", 36, _COUNT),
     ("panel", "g_ref", "g_ref", 1000.0, _POSITIVE),
-    # and a finite, positive saturation current over the temperature profile
     ("panel", "t_ref", "t_ref", 298.15, _POSITIVE),
     # and 1 + k_i * (t_j - t_ref) > 0 over the temperature profile
     ("panel", "k_i", "k_i", 0.0005, _ANY),
@@ -243,11 +243,18 @@ def _build_profiles(section):
     )
 
 
+#: Saturation currents [A] for which the diode solve and the MPP search converge
+#: on the default panel from 1 to 1e6 W/m2 and -270 to 200 degC. They stall from
+#: about 5e6 A, and below about 1e-230 A: i_0 * exp(600), the diode current at the
+#: solver's exponent cap, no longer outweighs a 1,000-sun photocurrent there.
+I_0_MIN, I_0_MAX = 1e-200, 1e6
+
+
 def check_panel_temperatures(panel, temps_c, reached):
     """Refuse ``panel`` if its temperature laws fail at a temperature in ``temps_c`` [degC].
 
     The photocurrent factor ``1 + k_i * (t_j - t_ref)`` must be positive and
-    the saturation current finite and positive. Both are monotone in
+    the saturation current in ``[I_0_MIN, I_0_MAX]``. Both are monotone in
     temperature, so a run's coldest and hottest temperatures bound every one
     between. ``reached`` says in the message where the temperatures come from.
     """
@@ -262,11 +269,13 @@ def check_panel_temperatures(panel, temps_c, reached):
             i_0 = panel.saturation_current(t_j)
         except OverflowError:
             i_0 = math.inf
-        if not 0.0 < i_0 < math.inf:
+        if not I_0_MIN <= i_0 <= I_0_MAX:
+            # with a constant law, i_0_ref is the saturation current
+            key = "t_ref" if panel.i_0_temp_exp else "i_0_ref"
             raise ConfigError(
-                f"panel.t_ref ({panel.t_ref:g} K) puts the saturation current "
-                f"i_0_ref * (t_j / t_ref) ** i_0_temp_exp at {i_0:g} A, outside (0, inf), "
-                f"at {t_c:g} degC with panel.i_0_temp_exp {panel.i_0_temp_exp:g}, {reached}"
+                f"panel.{key} puts the saturation current at {i_0:g} A at {t_c:g} degC, outside "
+                f"[{I_0_MIN:g}, {I_0_MAX:g}] (i_0_ref {panel.i_0_ref:g} A, t_ref {panel.t_ref:g} "
+                f"K, i_0_temp_exp {panel.i_0_temp_exp:g}), {reached}"
             )
 
 

@@ -1,10 +1,13 @@
 """Fixed-timestep simulation engine and the MPPT tracking bench.
 
-Each step samples the environment, lets the due MPPT controller move the
-duty cycle based on the previous measurement, solves the PV operating point
-against the (lagged) bus voltage, asks the supervisor for a mode, routes
-power, solves the battery current and updates the SOC. One row per step;
-an energy ledger accumulates alongside and must close at the end.
+Each step samples the environment, solves the PV operating point at the
+controller's duty cycle against the (lagged) bus voltage, asks the
+supervisor for a mode, routes power, solves the battery current, updates the
+SOC and, when ``(k + 2) % mppt_every == 0``, lets the MPPT controller act on
+step ``k``'s measured port power and voltage: first after step
+``mppt_every - 2`` (every step if ``mppt_every`` is 1), then every
+``mppt_every`` steps. One row per step; an energy ledger accumulates
+alongside and must close at the end.
 
 Bus model: the DC bus is pinned to the battery terminal voltage whenever a
 battery switch is closed (modes 1-3); in modes 4/5 it sits at the constant
@@ -138,17 +141,13 @@ class EnergyLedger:
 
 @dataclass
 class EngineState:
-    """Per-run state: the step loop updates the component states in place and
-    writes the other fields back when it stops."""
+    """What the next step reads: the component states, which the step loop
+    updates in place, and the bus voltage, which it writes back when it stops."""
 
     bat: bat.BatteryState
     mppt: mp.MpptState
     sup: sup.SupervisorState
     v_bus: float
-    p_meas: float = 0.0
-    v_meas: float = 0.0
-    have_meas: bool = False
-    steps_since_mppt: int = 0
 
 
 def init_state(config):
@@ -159,13 +158,10 @@ def init_state(config):
     return EngineState(bat=battery_state, mppt=mppt_state, sup=sup_state, v_bus=v_bus)
 
 
-def step(config, state, t, ledger, step_index):
-    """Advance one step at time ``t``, updating ``state`` and ``ledger`` in place.
-
-    Returns the step's record; ``step_index`` names the step in errors. The
-    step runs through the loop of :func:`steps`.
-    """
-    (row,) = _loop(config, state, ledger, step_index, (t,))
+def step(config, state, ledger, k):
+    """Run step ``k`` through the loop of :func:`steps`, updating ``state`` and
+    ``ledger`` in place; returns the step's record."""
+    (row,) = _loop(config, state, ledger, k, k + 1)
     return SimRecord(*row)
 
 
@@ -177,13 +173,11 @@ def steps(config, ledger):
     writes each row as it arrives runs in memory that does not grow with the
     step count.
     """
-    dt = config.dt
-    return _loop(config, init_state(config), ledger, 0,
-                 (k * dt for k in range(config.n_steps)))
+    return _loop(config, init_state(config), ledger, 0, config.n_steps)
 
 
-def _loop(config, state, ledger, first, times):
-    """The step loop: one row per time in ``times``, the first numbered ``first``.
+def _loop(config, state, ledger, first, stop):
+    """The step loop: one row for each step ``k`` in ``range(first, stop)``, at ``k * dt``.
 
     The loop only orchestrates: every model rule is one call into its
     module. The run's constants and the step state live in locals, and go
@@ -199,7 +193,7 @@ def _loop(config, state, ledger, first, times):
     fuzzy = config.fuzzy
     eta = config.eta
     v_bus_nominal = config.v_bus_nominal
-    dt_h = config.dt / 3600.0
+    dt, dt_h = config.dt, config.dt / 3600.0
     po = config.mppt_kind == "po"
     g_at = cursor(config.irradiance)
     t_amb_at = cursor(config.temperature)
@@ -208,24 +202,16 @@ def _loop(config, state, ledger, first, times):
     switch_table = sup.SWITCH_TABLE
     bat_state, mppt_state, sup_state = state.bat, state.mppt, state.sup
     d_max = mppt_state.d_max
-    v_bus, p_meas, v_meas, have_meas, since_mppt = (
-        state.v_bus, state.p_meas, state.v_meas, state.have_meas, state.steps_since_mppt)
+    v_bus = state.v_bus
     e_pv, e_served, e_unserved, e_bat_in, e_bat_out, e_curtailed, e_loss = (
         ledger.e_pv, ledger.e_load_served, ledger.e_load_unserved, ledger.e_bat_in,
         ledger.e_bat_out, ledger.e_curtailed, ledger.e_loss)
     try:
-        for k, t in enumerate(times, first):
+        for k in range(first, stop):
+            t = k * dt
             g = g_at(t)
             t_amb = t_amb_at(t)
             p_load = p_load_at(t)
-
-            since_mppt += 1
-            if have_meas and since_mppt >= mppt_every:
-                if po:
-                    mp.po_step(p_meas, v_meas, mppt_state)
-                else:
-                    mp.flc_step(p_meas, v_meas, mppt_state, fuzzy)
-                since_mppt = 0
 
             d = mppt_state.d
             flags = FLAG_DUTY_LIMIT if d == 0.0 or d == d_max else 0
@@ -237,12 +223,8 @@ def _loop(config, state, ledger, first, times):
             if pv_clamped:
                 flags |= FLAG_PV_CLAMP
             p_avail = eta * p_port
-            p_meas = p_port
-            v_meas = v_cand
-            have_meas = True
 
-            sup.select_mode(p_avail, p_load, bat_state.soc, sup_state, supervisor)
-            mode = sup_state.mode
+            mode = sup.select_mode(p_avail, p_load, bat_state.soc, sup_state, supervisor)
             p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
             try:
                 i_bat = (
@@ -252,7 +234,6 @@ def _loop(config, state, ledger, first, times):
                 )
             except SingularityGuardError:
                 mode = sup.MODE4 if p_bat_set < 0 else sup.MODE5
-                sup_state.mode = mode
                 p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
                 i_bat = 0.0
                 flags |= FLAG_PROTECTIVE
@@ -263,9 +244,7 @@ def _loop(config, state, ledger, first, times):
 
             v_bat = bat.terminal_voltage(bat_state, i_bat, battery)
             p_bat = i_bat * v_bat
-            before = bat_state.clamp_events
-            bat.soc_update(bat_state, i_bat, dt_h, battery)
-            if bat_state.clamp_events > before:
+            if bat.soc_update(bat_state, i_bat, dt_h, battery):
                 flags |= FLAG_SOC_CLAMP
 
             k1, k2, k3 = switch_table[mode]
@@ -296,14 +275,19 @@ def _loop(config, state, ledger, first, times):
                     f"step {k} (t={t}): mode {mode} power balance off by {err:.3e} W"
                 )
 
+            if (k + 2) % mppt_every == 0:
+                if po:
+                    mp.po_step(p_port, v_cand, mppt_state)
+                else:
+                    mp.flc_step(p_port, v_cand, mppt_state, fuzzy)
+
             yield (
                 t, g, t_amb, p_pv_used, p_load, p_served, p_bat, bat_state.soc, v_bat,
                 v_cand if connected else 0.0, i_pv if connected else 0.0, d,
                 mode, k1, k2, k3, p_curt, flags,
             )
     finally:
-        state.v_bus, state.p_meas, state.v_meas, state.have_meas, state.steps_since_mppt = (
-            v_bus, p_meas, v_meas, have_meas, since_mppt)
+        state.v_bus = v_bus
         (ledger.e_pv, ledger.e_load_served, ledger.e_load_unserved, ledger.e_bat_in,
          ledger.e_bat_out, ledger.e_curtailed, ledger.e_loss) = (
             e_pv, e_served, e_unserved, e_bat_in, e_bat_out, e_curtailed, e_loss)

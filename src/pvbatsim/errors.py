@@ -12,11 +12,6 @@ class DomainError(PvbatsimError, ValueError):
 class ConvergenceError(PvbatsimError):
     """An iterative solver failed to meet its tolerance."""
 
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
 
 class SingularityGuardError(PvbatsimError):
     """A battery voltage law was evaluated too close to its SOC singularity."""

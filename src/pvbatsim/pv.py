@@ -97,9 +97,7 @@ def _array_current(v_panel, i_ph, i_0, vt, params):
     )
     if abs(residual) > RESIDUAL_TOL:
         raise ConvergenceError(
-            f"diode solve stalled at residual {residual:.3e} A after {iters} iterations",
-            residual=residual,
-            iterations=iters,
+            f"diode solve stalled at residual {residual:.3e} A after {iters} iterations"
         )
     return i_panel * params.n_panels_parallel
 

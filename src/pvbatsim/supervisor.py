@@ -47,14 +47,13 @@ class SupervisorConfig:
 
 @dataclass(slots=True)
 class SupervisorState:
-    """Supervisor memory, updated in place: previous mode plus the two protection latches.
+    """Supervisor memory, updated in place: the two protection latches.
 
-    The latches cannot be reconstructed from the previous mode alone: a brief
-    PV dip inside the hysteresis band would otherwise re-enable charging (or
-    discharging) before the release threshold is reached.
+    The mode is not kept: :func:`select_mode` returns it. The latches carry the
+    hysteresis: without them a brief PV dip inside a band would re-enable
+    charging (or discharging) before the release threshold is reached.
     """
 
-    mode: int = MODE4
     charge_blocked: bool = False
     discharge_blocked: bool = False
 
@@ -62,7 +61,7 @@ class SupervisorState:
 def select_mode(p_pv, p_load, soc, state, config):
     """Pick the operating mode for the current power balance and SOC.
 
-    Updates ``state`` in place (latches and mode) and returns it. Protection
+    Updates the latches of ``state`` in place and returns the mode. Protection
     outranks economics: a latched battery is never charged above the max band
     nor discharged below the min band. PV covering the load but with surplus
     below ``p_epsilon`` is served directly (MODE4) rather than cycling the
@@ -84,16 +83,14 @@ def select_mode(p_pv, p_load, soc, state, config):
     dischargeable = not state.discharge_blocked
 
     if p_pv >= p_load + config.p_epsilon and chargeable:
-        state.mode = MODE1
-    elif p_pv >= p_load:
-        state.mode = MODE4
-    elif p_pv >= config.p_epsilon and dischargeable:
-        state.mode = MODE2
-    elif p_pv < config.p_epsilon and dischargeable:
-        state.mode = MODE3
-    else:
-        state.mode = MODE5
-    return state
+        return MODE1
+    if p_pv >= p_load:
+        return MODE4
+    if p_pv >= config.p_epsilon and dischargeable:
+        return MODE2
+    if p_pv < config.p_epsilon and dischargeable:
+        return MODE3
+    return MODE5
 
 
 def route_power(mode, p_pv, p_load):

@@ -193,8 +193,8 @@ def test_criterion_7_supervisor_safety():
         soc = min(1.0, max(0.0, soc + rng.uniform(-0.03, 0.03)))
         p_pv = rng.choice([0.0, 0.5, 80.0, 250.0, 600.0])
         p_load = rng.choice([0.0, 60.0, 150.0, 300.0])
-        state = sup.select_mode(p_pv, p_load, soc, state, config)
-        k1, _, k3 = sup.SWITCH_TABLE[state.mode]
+        mode = sup.select_mode(p_pv, p_load, soc, state, config)
+        k1, _, k3 = sup.SWITCH_TABLE[mode]
         if soc <= config.soc_min:
             assert not k3, f"K3 closed at soc={soc}"
         if soc >= config.soc_max:
@@ -209,9 +209,9 @@ def test_criterion_7_supervisor_safety():
             lower_latched = True
         elif soc >= config.soc_min_release:
             lower_latched = False
-        if upper_latched and state.mode == sup.MODE1:
+        if upper_latched and mode == sup.MODE1:
             mode1_entries_while_latched += 1
-        if lower_latched and state.mode in (sup.MODE2, sup.MODE3):
+        if lower_latched and mode in (sup.MODE2, sup.MODE3):
             discharge_entries_while_latched += 1
     assert mode1_entries_while_latched == 0
     assert discharge_entries_while_latched == 0

@@ -174,10 +174,10 @@ class TestTerminalVoltage:
         # the two open-circuit branches deliberately differ
         state = battery.state_for_soc(0.99, cell)
         v_dis = battery.terminal_voltage(
-            battery.BatteryState(soc=0.99, q=state.q, mode_flag="discharging"), 0.0, cell
+            battery.BatteryState(soc=0.99, q=state.q, charging=False), 0.0, cell
         )
         v_chg = battery.terminal_voltage(
-            battery.BatteryState(soc=0.99, q=state.q, mode_flag="charging"), 0.0, cell
+            battery.BatteryState(soc=0.99, q=state.q, charging=True), 0.0, cell
         )
         assert v_dis == pytest.approx(1.965 + 0.12 * 0.99, rel=1e-12)
         assert v_chg == pytest.approx(2.0 + 0.16 * 0.99, rel=1e-12)
@@ -195,15 +195,15 @@ class TestTerminalVoltage:
 class TestSocUpdate:
     def test_full_battery_at_rest(self, params):
         state = battery.BatteryState(soc=1.0, q=0.0)
-        new = battery.soc_update(state, 0.0, 1.0, params)
-        assert new.soc == 1.0
-        assert new.q == 0.0
+        battery.soc_update(state, 0.0, 1.0, params)
+        assert state.soc == 1.0
+        assert state.q == 0.0
 
     def test_charging_reduces_extracted_charge(self, params):
         state = battery.BatteryState(soc=0.9, q=5.0)
-        new = battery.soc_update(state, -1.0, 2.0, params)
-        assert new.q == pytest.approx(3.0, rel=1e-15)
-        assert new.mode_flag == "charging"
+        battery.soc_update(state, -1.0, 2.0, params)
+        assert state.q == pytest.approx(3.0, rel=1e-15)
+        assert state.charging
 
     def test_full_discharge_reaches_zero(self, params):
         # oracle: fixed point of i = capacity(i) / 10 makes a 10 h discharge
@@ -212,29 +212,29 @@ class TestSocUpdate:
         for _ in range(200):
             i = capacity_line(i, 0.0, params.c_10) / 10.0
         state = battery.BatteryState(soc=1.0, q=0.0)
-        new = battery.soc_update(state, i, 10.0, params)
-        assert new.soc == pytest.approx(0.0, abs=1e-9)
+        battery.soc_update(state, i, 10.0, params)
+        assert state.soc == pytest.approx(0.0, abs=1e-9)
 
     def test_coulomb_symmetry(self, params):
         state = battery.BatteryState(soc=1.0, q=0.0)
-        down = battery.soc_update(state, 4.0, 2.5, params)
-        up = battery.soc_update(down, -4.0, 2.5, params)
-        assert up.q == 0.0
-        assert up.soc == 1.0
+        battery.soc_update(state, 4.0, 2.5, params)
+        battery.soc_update(state, -4.0, 2.5, params)
+        assert state.q == 0.0
+        assert state.soc == 1.0
 
     def test_bounds_hold_over_random_walk(self, params):
         rng = np.random.RandomState(3)
         state = battery.BatteryState(soc=0.5, q=88.0)
         for _ in range(2000):
-            state = battery.soc_update(state, rng.uniform(-50, 50), 0.25, params)
+            battery.soc_update(state, rng.uniform(-50, 50), 0.25, params)
             assert 0.0 <= state.soc <= 1.0
             assert state.q >= 0.0
 
-    def test_clamp_events_counted(self, params):
+    def test_clamp_reported(self, params):
         state = battery.BatteryState(soc=0.9, q=5.0)
-        new = battery.soc_update(state, -100.0, 1.0, params)  # overcharge past q=0
-        assert new.q == 0.0
-        assert new.clamp_events == 1
+        assert battery.soc_update(state, -100.0, 1.0, params)  # overcharge past q=0
+        assert state.q == 0.0
+        assert not battery.soc_update(state, 1.0, 1.0, params)
 
     def test_bad_dt_rejected(self, params):
         with pytest.raises(DomainError):

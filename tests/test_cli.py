@@ -112,7 +112,8 @@ class TestIvCurve:
     # the default day's profile (15-35 degC) passes both panels; --t 200 does not
     @pytest.mark.parametrize("panel,key", [
         ("{k_i: -0.01}", "panel.k_i"),  # photocurrent factor negative above 126 degC
-        ("{t_ref: 5.0e-29, i_0_temp_exp: 10}", "panel.t_ref"),  # (t_j / t_ref)**10 overflows
+        # (t_j / t_ref)**10 puts the saturation current at 5e4 A at 35 degC, 4e6 A at 200
+        ("{t_ref: 20, i_0_temp_exp: 10}", "panel.t_ref"),
     ], ids=["k-i", "t-ref"])
     def test_t_checked_against_panel_laws(self, panel, key, tmp_path, capsys):
         from pvbatsim.config import build_sim_config, load_config_file
@@ -131,6 +132,16 @@ class TestIvCurve:
         out = tmp_path / "c.csv"
         cli.main(["iv-curve", "--points", "5", "--out", str(out)])
         assert out.read_text().endswith("\n")
+
+    @pytest.mark.parametrize("flags,digest", [
+        ([], "3c1e261b4b9f7259b21397cf27c35d110b5e60d979001f2b7a6ddd1cd8e7930a"),
+        (["--g", "300", "--t", "-10", "--points", "500"],
+         "4cb826eb0b95a619f6f67f99965d3c6cdd84589bc74032a4d2a513e26b846168"),
+    ], ids=["default", "g300-cold-500"])
+    def test_bytes_pinned(self, flags, digest, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert cli.main(["iv-curve", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSimulate:
@@ -594,6 +605,19 @@ class TestBadInputs:
                      "config error: panel.t_ref", id="iv-t-ref-saturation-underflow"),
         pytest.param("panel: {i_0_ref: 1.0e+300, t_ref: 10, i_0_temp_exp: 10}", SIMULATE, 1,
                      "config error: panel.t_ref", id="saturation-current-infinite"),
+        # finite saturation currents outside the range where the diode solve converges
+        pytest.param("panel: {i_0_ref: 5.0e-324}", SIMULATE, 1,
+                     "config error: panel.i_0_ref", id="i0-ref-subnormal"),
+        pytest.param("panel: {i_0_ref: 5.0e-324}", IV_CURVE_CONFIG, 1,
+                     "config error: panel.i_0_ref", id="iv-i0-ref-subnormal"),
+        pytest.param("panel: {i_0_ref: 1.0e+300}", SIMULATE, 1,
+                     "config error: panel.i_0_ref", id="i0-ref-huge"),
+        pytest.param("panel: {i_0_ref: 1.0e+300}", IV_CURVE_CONFIG, 1,
+                     "config error: panel.i_0_ref", id="iv-i0-ref-huge"),
+        pytest.param("panel: {t_ref: 5.0e-29, i_0_temp_exp: 10}", SIMULATE, 1,
+                     "config error: panel.t_ref", id="saturation-current-huge"),
+        pytest.param("panel: {t_ref: 5.0e-29, i_0_temp_exp: 10}", IV_CURVE_CONFIG, 1,
+                     "config error: panel.t_ref", id="iv-saturation-current-huge"),
         pytest.param("supervisor: {soc_min_release: 0.1}", SIMULATE, 1,
                      "config error: supervisor.soc_min_release",
                      id="supervisor-release-below-min"),

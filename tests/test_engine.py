@@ -3,7 +3,7 @@
 import io
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -191,8 +191,8 @@ class TestProtectiveDowngrade:
             supervisor=replace(DEFAULTS.supervisor, soc_max=0.9992, soc_max_release=0.997),
         )
         state = engine.init_state(config)
-        state.bat = battery.BatteryState(soc=0.9951, q=0.5, mode_flag="charging")
-        rec = engine.step(config, state, 0.0, engine.EnergyLedger(), 0)
+        state.bat = battery.BatteryState(soc=0.9951, q=0.5, charging=True)
+        rec = engine.step(config, state, engine.EnergyLedger(), 0)
         assert rec.mode == 4
         assert rec.p_bat == 0.0
         assert rec.clamp_flags & engine.FLAG_PROTECTIVE
@@ -203,8 +203,8 @@ class TestProtectiveDowngrade:
             supervisor=replace(DEFAULTS.supervisor, soc_min=0.001, soc_min_release=0.002),
         )
         state = engine.init_state(config)
-        state.bat = battery.BatteryState(soc=0.004, q=175.0, mode_flag="discharging")
-        rec = engine.step(config, state, 0.0, engine.EnergyLedger(), 0)
+        state.bat = battery.BatteryState(soc=0.004, q=175.0)
+        rec = engine.step(config, state, engine.EnergyLedger(), 0)
         assert rec.mode == 5
         assert rec.p_load_served == 0.0
         assert rec.clamp_flags & engine.FLAG_PROTECTIVE
@@ -382,12 +382,25 @@ class TestTrackingMemo:
                                             delta_d=6e-17)
 
 
-def layered_step(config, state, t, ledger, step_index):
+@dataclass
+class LaggedSchedule:
+    """The reference's controller schedule: a step counter, and the last step's
+    measurement, which the controller acts on at the start of the next step."""
+
+    p_meas: float = 0.0
+    v_meas: float = 0.0
+    have_meas: bool = False
+    steps_since_mppt: int = 0
+
+
+def layered_step(config, state, schedule, t, ledger, step_index):
     """Reference step: the layered ``engine.step`` from before the flat loop.
 
-    Every layer is a call, the step state lives in ``state`` and ``ledger``,
-    each profile is read with ``profiles.sample`` and the record is checked
-    by :func:`check_balance`.
+    Every layer is a call, the step state lives in ``state``, ``schedule``
+    and ``ledger``, each profile is read with ``profiles.sample`` and the
+    record is checked by :func:`check_balance`. The controller acts at the
+    start of a step, on the measurement ``schedule`` carries, where
+    ``engine`` acts at the end of the step before.
     """
     g = sample(config.irradiance, t)
     t_amb = sample(config.temperature, t)
@@ -399,13 +412,13 @@ def layered_step(config, state, t, ledger, step_index):
     params = config.battery
     dt_h = config.dt / 3600.0
 
-    state.steps_since_mppt += 1
-    if state.have_meas and state.steps_since_mppt >= config.mppt_every:
+    schedule.steps_since_mppt += 1
+    if schedule.have_meas and schedule.steps_since_mppt >= config.mppt_every:
         if config.mppt_kind == "po":
-            mppt.po_step(state.p_meas, state.v_meas, mppt_state)
+            mppt.po_step(schedule.p_meas, schedule.v_meas, mppt_state)
         else:
-            mppt.flc_step(state.p_meas, state.v_meas, mppt_state, config.fuzzy)
-        state.steps_since_mppt = 0
+            mppt.flc_step(schedule.p_meas, schedule.v_meas, mppt_state, config.fuzzy)
+        schedule.steps_since_mppt = 0
 
     d = mppt_state.d
     flags = engine.FLAG_DUTY_LIMIT if d == 0.0 or d == mppt_state.d_max else 0
@@ -417,12 +430,11 @@ def layered_step(config, state, t, ledger, step_index):
     if pv_clamped:
         flags |= engine.FLAG_PV_CLAMP
     p_avail = config.eta * p_port
-    state.p_meas = p_port
-    state.v_meas = v_cand
-    state.have_meas = True
+    schedule.p_meas = p_port
+    schedule.v_meas = v_cand
+    schedule.have_meas = True
 
-    supervisor.select_mode(p_avail, p_load, bat_state.soc, sup_state, config.supervisor)
-    mode = sup_state.mode
+    mode = supervisor.select_mode(p_avail, p_load, bat_state.soc, sup_state, config.supervisor)
     p_bat_set, p_served, p_curt, p_pv_used = supervisor.route_power(mode, p_avail, p_load)
     try:
         i_bat = (
@@ -430,7 +442,6 @@ def layered_step(config, state, t, ledger, step_index):
         )
     except SingularityGuardError:
         mode = supervisor.MODE4 if p_bat_set < 0 else supervisor.MODE5
-        sup_state.mode = mode
         p_bat_set, p_served, p_curt, p_pv_used = supervisor.route_power(mode, p_avail, p_load)
         i_bat = 0.0
         flags |= engine.FLAG_PROTECTIVE
@@ -440,9 +451,7 @@ def layered_step(config, state, t, ledger, step_index):
 
     v_bat = battery.terminal_voltage(bat_state, i_bat, params)
     p_bat = i_bat * v_bat
-    before = bat_state.clamp_events
-    battery.soc_update(bat_state, i_bat, dt_h, params)
-    if bat_state.clamp_events > before:
+    if battery.soc_update(bat_state, i_bat, dt_h, params):
         flags |= engine.FLAG_SOC_CLAMP
 
     k1, k2, k3 = supervisor.SWITCH_TABLE[mode]
@@ -504,8 +513,9 @@ def assert_matches_layered(config):
     rows, error = run_until_error(engine.steps(config, ledger))
     ref_ledger = engine.EnergyLedger()
     state = engine.init_state(config)
+    schedule = LaggedSchedule()
     ref, ref_error = run_until_error(
-        (layered_step(config, state, k * config.dt, ref_ledger, k)
+        (layered_step(config, state, schedule, k * config.dt, ref_ledger, k)
          for k in range(config.n_steps)))
     assert rows == ref
     assert error == ref_error
@@ -517,7 +527,7 @@ def assert_matches_layered(config):
     step_ledger = engine.EnergyLedger()
     state = engine.init_state(config)
     assert run_until_error(
-        engine.step(config, state, k * config.dt, step_ledger, k)
+        engine.step(config, state, step_ledger, k)
         for k in range(config.n_steps)) == (rows, error)
     assert vars(step_ledger) == vars(ledger)
     return [engine.SimRecord(*row) for row in rows], error

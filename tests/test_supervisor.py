@@ -23,8 +23,7 @@ def config():
 
 
 def pick(p_pv, p_load, soc, config, state=None):
-    state = sup.select_mode(p_pv, p_load, soc, state or sup.SupervisorState(), config)
-    return state.mode
+    return sup.select_mode(p_pv, p_load, soc, state or sup.SupervisorState(), config)
 
 
 class TestSwitchTable:
@@ -92,9 +91,9 @@ class TestBatteryPowerSetpoint:
             p_pv = rng.uniform(0.0, 600.0)
             p_load = rng.uniform(0.0, 400.0)
             soc = rng.uniform(0.0, 1.0)
-            state = sup.select_mode(p_pv, p_load, soc, state, config)
-            k1, _, k3 = sup.SWITCH_TABLE[state.mode]
-            p_bat = sup.route_power(state.mode, p_pv, p_load)[0]
+            mode = sup.select_mode(p_pv, p_load, soc, state, config)
+            k1, _, k3 = sup.SWITCH_TABLE[mode]
+            p_bat = sup.route_power(mode, p_pv, p_load)[0]
             if p_bat < 0:
                 assert k1  # charging requires the PV->battery path
             if p_bat > 0:
@@ -124,8 +123,8 @@ class TestSafetyProperties:
             p_pv = rng.uniform(0.0, 600.0)
             p_load = rng.uniform(0.0, 400.0)
             soc = rng.uniform(0.0, 1.0)
-            state = sup.select_mode(p_pv, p_load, soc, state, config)
-            k1, _, k3 = sup.SWITCH_TABLE[state.mode]
+            mode = sup.select_mode(p_pv, p_load, soc, state, config)
+            k1, _, k3 = sup.SWITCH_TABLE[mode]
             if soc <= config.soc_min:
                 assert not k3
             if soc >= config.soc_max:
@@ -135,42 +134,45 @@ class TestSafetyProperties:
         rng = np.random.RandomState(37)
         state = sup.SupervisorState()
         for _ in range(5000):
-            state = sup.select_mode(
+            mode = sup.select_mode(
                 rng.uniform(0, 1000), rng.uniform(0, 1000), rng.uniform(0, 1), state, config
             )
-            assert state.mode in sup.SWITCH_TABLE
-            assert sup.SWITCH_TABLE[state.mode] is not None
+            assert mode in sup.SWITCH_TABLE
+            assert sup.SWITCH_TABLE[mode] is not None
 
 
 class TestHysteresis:
     def test_mode4_holds_until_release(self, config):
         # battery just latched full; PV surplus persists while SOC drifts
         # inside the (release, max) band: must not return to MODE1
-        state = sup.select_mode(500.0, 200.0, config.soc_max, sup.SupervisorState(), config)
-        assert state.mode == sup.MODE4
+        state = sup.SupervisorState()
+        mode = sup.select_mode(500.0, 200.0, config.soc_max, state, config)
+        assert mode == sup.MODE4
         for soc in (0.895, 0.885, 0.875, 0.865, 0.855):
-            state = sup.select_mode(500.0, 200.0, soc, state, config)
-            assert state.mode == sup.MODE4
-        state = sup.select_mode(500.0, 200.0, config.soc_max_release, state, config)
-        assert state.mode == sup.MODE1
+            mode = sup.select_mode(500.0, 200.0, soc, state, config)
+            assert mode == sup.MODE4
+        mode = sup.select_mode(500.0, 200.0, config.soc_max_release, state, config)
+        assert mode == sup.MODE1
 
     def test_latch_survives_pv_dips(self, config):
         # a cloud passes while latched: mode changes, the latch must not reset
-        state = sup.select_mode(500.0, 200.0, 0.91, sup.SupervisorState(), config)
-        assert state.mode == sup.MODE4
-        state = sup.select_mode(50.0, 200.0, 0.89, state, config)
-        assert state.mode == sup.MODE2
-        state = sup.select_mode(500.0, 200.0, 0.88, state, config)
-        assert state.mode == sup.MODE4  # still above release: charging stays blocked
+        state = sup.SupervisorState()
+        mode = sup.select_mode(500.0, 200.0, 0.91, state, config)
+        assert mode == sup.MODE4
+        mode = sup.select_mode(50.0, 200.0, 0.89, state, config)
+        assert mode == sup.MODE2
+        mode = sup.select_mode(500.0, 200.0, 0.88, state, config)
+        assert mode == sup.MODE4  # still above release: charging stays blocked
 
     def test_mode5_holds_until_release(self, config):
-        state = sup.select_mode(0.0, 200.0, config.soc_min, sup.SupervisorState(), config)
-        assert state.mode == sup.MODE5
+        state = sup.SupervisorState()
+        mode = sup.select_mode(0.0, 200.0, config.soc_min, state, config)
+        assert mode == sup.MODE5
         for soc in (0.21, 0.22, 0.23, 0.24):
-            state = sup.select_mode(0.0, 200.0, soc, state, config)
-            assert state.mode == sup.MODE5
-        state = sup.select_mode(0.0, 200.0, config.soc_min_release, state, config)
-        assert state.mode == sup.MODE3
+            mode = sup.select_mode(0.0, 200.0, soc, state, config)
+            assert mode == sup.MODE5
+        mode = sup.select_mode(0.0, 200.0, config.soc_min_release, state, config)
+        assert mode == sup.MODE3
 
     def test_at_most_one_transition_per_crossing(self, config):
         # adversarial random walk: within any residency of the upper band
@@ -183,7 +185,7 @@ class TestHysteresis:
             soc = min(1.0, max(0.0, soc + rng.uniform(-0.02, 0.02)))
             p_pv = rng.choice([0.0, 50.0, 300.0, 600.0])
             p_load = rng.choice([0.0, 100.0, 200.0, 400.0])
-            state = sup.select_mode(p_pv, p_load, soc, state, config)
+            mode = sup.select_mode(p_pv, p_load, soc, state, config)
             if soc >= config.soc_max:
                 upper_latched = True
             elif soc <= config.soc_max_release:
@@ -193,6 +195,6 @@ class TestHysteresis:
             elif soc >= config.soc_min_release:
                 lower_latched = False
             if upper_latched:
-                assert state.mode != sup.MODE1
+                assert mode != sup.MODE1
             if lower_latched:
-                assert state.mode not in (sup.MODE2, sup.MODE3)
+                assert mode not in (sup.MODE2, sup.MODE3)
