@@ -9,11 +9,11 @@ count. Sign convention throughout: positive battery current = discharge.
 from dataclasses import dataclass
 
 from pvbatsim import _kernels
-from pvbatsim.errors import ConvergenceError, DomainError, SingularityGuardError
+from pvbatsim.errors import ConvergenceError
 
-#: SOC band outside which the voltage laws are refused (1/SOC^1.5 and
-#: 1/(1-SOC)^1.2 singularities). The supervisor's operating thresholds keep
-#: normal runs far inside this band.
+#: SOC band inside which the loaded voltage laws hold (1/SOC^1.5 and
+#: 1/(1-SOC)^1.2 singularities). The step loop loads the bank only inside it,
+#: and the supervisor's thresholds keep normal runs far inside it.
 SOC_FLOOR = 0.005
 SOC_CEILING = 0.995
 
@@ -61,10 +61,8 @@ def capacity(i_bat, delta_t, params):
     """Available capacity of one string at discharge current ``i_bat`` [Ah].
 
     Maximal at rest (``capacity_coeff * c_10`` for ``delta_t`` = 0) and
-    strictly decreasing in current.
+    strictly decreasing in current. ``i_bat`` is the current magnitude.
     """
-    if i_bat < 0:
-        raise DomainError("capacity takes the discharge current magnitude, >= 0")
     c10 = params.c_10
     i10 = c10 / 10.0
     return c10 * params.capacity_coeff * (1.0 + 0.005 * delta_t) / (1.0 + 0.67 * (i_bat / i10))
@@ -79,16 +77,10 @@ def discharge_voltage(soc, i_bat, delta_t, params):
     """Terminal voltage of one string discharging at ``i_bat`` amps (magnitude) [V].
 
     Increasing in SOC, decreasing in current, proportional to the series cell
-    count. Loaded evaluation is refused near the ``1/SOC^1.5`` singularity;
-    at zero current only the affine open-circuit part remains, defined for
-    any SOC.
+    count. A loaded evaluation assumes ``soc > SOC_FLOOR``, clear of the
+    ``1/SOC^1.5`` singularity; at zero current only the affine open-circuit
+    part remains, defined for any SOC.
     """
-    if i_bat < 0:
-        raise DomainError("discharge_voltage takes the current magnitude, >= 0")
-    if soc <= SOC_FLOOR and i_bat > 0:
-        raise SingularityGuardError(
-            f"discharge voltage undefined at soc={soc:.4f} (floor {SOC_FLOOR})"
-        )
     n_serial = params.n_serial
     if i_bat == 0.0:
         return n_serial * (1.965 + 0.12 * soc)
@@ -102,15 +94,10 @@ def charge_voltage(soc, i_bat, delta_t, params):
     """Terminal voltage of one string charging at ``i_bat`` amps (magnitude) [V].
 
     Increasing in SOC and in current, proportional to the series cell count.
-    Loaded evaluation is refused near the ``1/(1-SOC)^1.2`` singularity; at
-    zero current only the affine open-circuit part remains.
+    A loaded evaluation assumes ``soc < SOC_CEILING``, clear of the
+    ``1/(1-SOC)^1.2`` singularity; at zero current only the affine
+    open-circuit part remains.
     """
-    if i_bat < 0:
-        raise DomainError("charge_voltage takes the current magnitude, >= 0")
-    if soc >= SOC_CEILING and i_bat > 0:
-        raise SingularityGuardError(
-            f"charge voltage undefined at soc={soc:.4f} (ceiling {SOC_CEILING})"
-        )
     n_serial = params.n_serial
     if i_bat == 0.0:
         return n_serial * (2.0 + 0.16 * soc)
@@ -126,7 +113,8 @@ def terminal_voltage(state, i_bat, params):
     Positive current dispatches to the discharge law, negative to the charge
     law (with the per-string magnitude); zero current returns the open-circuit
     branch of the last regime. The two branches deliberately differ at zero
-    current: the gap is the model's charge/discharge hysteresis.
+    current: the gap is the model's charge/discharge hysteresis. A run passes
+    zero or a current that :func:`current_for_power` solved at this SOC.
     """
     dt = params.delta_t
     i_str = abs(i_bat) / params.n_parallel
@@ -144,10 +132,8 @@ def soc_update(state, i_bat, dt_h, params):
 
     Discharge (positive current) grows the extracted charge; charging shrinks
     it. Charge and SOC are clamped to their physical ranges. Updates ``state``
-    in place and returns whether it clamped either.
+    in place and returns whether it clamped either. ``dt_h`` is positive.
     """
-    if dt_h <= 0:
-        raise DomainError("dt_h must be > 0")
     q = state.q + i_bat * dt_h
     clamped = q < 0.0
     if clamped:
@@ -170,20 +156,12 @@ def current_for_power(p_bat, state, params):
     """Bank current [A] delivering power ``p_bat`` (positive = discharge).
 
     Terminal voltage depends on current, so ``i = p / v(i)`` is iterated to
-    ``|p - i*v(i)| <= 1e-9 * max(1, |p|)``. Raises the voltage-law guards for
-    SOC outside the safe band and :class:`ConvergenceError` if the fixed point
-    stalls.
+    ``|p - i*v(i)| <= 1e-9 * max(1, |p|)``. A discharge needs ``soc > SOC_FLOOR``
+    and a charge ``soc < SOC_CEILING`` (the step loop downgrades instead).
+    Raises :class:`ConvergenceError` on a stall or a NaN residual.
     """
     if p_bat == 0.0:
         return 0.0
-    if p_bat > 0 and state.soc <= SOC_FLOOR:
-        raise SingularityGuardError(
-            f"cannot discharge at soc={state.soc:.4f} (floor {SOC_FLOOR})"
-        )
-    if p_bat < 0 and state.soc >= SOC_CEILING:
-        raise SingularityGuardError(
-            f"cannot charge at soc={state.soc:.4f} (ceiling {SOC_CEILING})"
-        )
     i, residual, _ = _kernels.battery_current_for_power(
         p_bat,
         state.soc,
@@ -193,7 +171,7 @@ def current_for_power(p_bat, state, params):
         params.n_parallel,
         params.discharge_exp,
     )
-    if abs(residual) > 1e-9 * max(1.0, abs(p_bat)):
+    if not abs(residual) <= 1e-9 * max(1.0, abs(p_bat)):
         raise ConvergenceError(
             f"battery current fixed point stalled at residual {residual:.3e} W"
         )

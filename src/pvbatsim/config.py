@@ -50,7 +50,8 @@ _SCHEMA = (
     ("panel", "r_sh", "r_sh", 200.0, _POSITIVE),
     ("panel", "a", "a", 1.3, {"minimum": 1, "maximum": 2}),
     ("panel", "n_s", "n_s", 36, _COUNT),
-    ("panel", "g_ref", "g_ref", 1000.0, _POSITIVE),
+    # >= 1 W/m2 keeps g / g_ref <= g, finite for every finite irradiance
+    ("panel", "g_ref", "g_ref", 1000.0, {"minimum": 1}),
     ("panel", "t_ref", "t_ref", 298.15, _POSITIVE),
     # and 1 + k_i * (t_j - t_ref) > 0 over the temperature profile
     ("panel", "k_i", "k_i", 0.0005, _ANY),
@@ -58,7 +59,8 @@ _SCHEMA = (
     ("panel", "i_0_temp_exp", "i_0_temp_exp", 0.0, {"minimum": -10, "maximum": 10}),
     ("panel", "n_panels_series", "n_panels_series", 2, _COUNT),
     ("panel", "n_panels_parallel", "n_panels_parallel", 2, _COUNT),
-    ("battery", "c_10_ah", "c_10", 100.0, _POSITIVE),
+    # at least 1 mAh: the 10-hour current c_10_ah / 10 divides the capacity law
+    ("battery", "c_10_ah", "c_10", 100.0, {"minimum": 1e-3}),
     ("battery", "n_serial", "n_serial", 24, _COUNT),
     ("battery", "n_parallel", "n_parallel", 1, _COUNT),
     # the capacity, discharge and charge laws scale by 1 + 0.005 dT, 1 - 0.007 dT

@@ -26,12 +26,7 @@ from pvbatsim import converter
 from pvbatsim import mppt as mp
 from pvbatsim import pv
 from pvbatsim import supervisor as sup
-from pvbatsim.errors import (
-    ConfigError,
-    ConvergenceError,
-    InvariantViolation,
-    SingularityGuardError,
-)
+from pvbatsim.errors import ConfigError, ConvergenceError, InvariantViolation
 from pvbatsim.profiles import TimeSeriesProfile, cursor
 
 #: Relative tolerance of the per-record power balance and the ledger closure.
@@ -41,7 +36,7 @@ BALANCE_TOL = 1e-6
 FLAG_PV_CLAMP = 1      # blocking diode clamped a negative PV current
 FLAG_SOC_CLAMP = 2     # coulomb counter hit an SOC/charge bound
 FLAG_DUTY_LIMIT = 4    # duty cycle sits on a clamp bound
-FLAG_PROTECTIVE = 8    # singularity guard downgraded the mode
+FLAG_PROTECTIVE = 8    # SOC outside the voltage laws' band downgraded the mode
 
 
 def step_count(t_end, dt):
@@ -183,9 +178,10 @@ def _loop(config, state, ledger, first, stop):
     module. The run's constants and the step state live in locals, and go
     back into ``state`` and ``ledger`` when the loop ends, fails or is closed.
 
-    Solver failures abort with the step index attached; battery singularity
-    guards downgrade to a protective mode (4 while charging, 5 while
-    discharging) instead of aborting.
+    A charge at or above ``SOC_CEILING`` or a discharge at or below
+    ``SOC_FLOOR`` is not solved: the step downgrades to protective mode 4 or
+    5. A solver failure, a NaN solve or a row off its power balance ends the
+    run with the step index attached.
     """
     panel = config.panel
     battery = config.battery
@@ -202,6 +198,7 @@ def _loop(config, state, ledger, first, stop):
     switch_table = sup.SWITCH_TABLE
     bat_state, mppt_state, sup_state = state.bat, state.mppt, state.sup
     d_max = mppt_state.d_max
+    soc_floor, soc_ceiling = bat.SOC_FLOOR, bat.SOC_CEILING
     v_bus = state.v_bus
     e_pv, e_served, e_unserved, e_bat_in, e_bat_out, e_curtailed, e_loss = (
         ledger.e_pv, ledger.e_load_served, ledger.e_load_unserved, ledger.e_bat_in,
@@ -224,23 +221,21 @@ def _loop(config, state, ledger, first, stop):
                 flags |= FLAG_PV_CLAMP
             p_avail = eta * p_port
 
-            mode = sup.select_mode(p_avail, p_load, bat_state.soc, sup_state, supervisor)
+            soc = bat_state.soc
+            mode = sup.select_mode(p_avail, p_load, soc, sup_state, supervisor)
             p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
-            try:
-                i_bat = (
-                    bat.current_for_power(p_bat_set, bat_state, battery)
-                    if p_bat_set != 0.0
-                    else 0.0
-                )
-            except SingularityGuardError:
-                mode = sup.MODE4 if p_bat_set < 0 else sup.MODE5
+            i_bat = 0.0
+            if (p_bat_set > 0.0 and soc <= soc_floor) or (p_bat_set < 0.0 and soc >= soc_ceiling):
+                mode = sup.MODE4 if p_bat_set < 0.0 else sup.MODE5
                 p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
-                i_bat = 0.0
                 flags |= FLAG_PROTECTIVE
-            except ConvergenceError as exc:
-                raise InvariantViolation(
-                    f"step {k} (t={t}): battery solve failed: {exc}"
-                ) from exc
+            elif p_bat_set != 0.0:
+                try:
+                    i_bat = bat.current_for_power(p_bat_set, bat_state, battery)
+                except ConvergenceError as exc:
+                    raise InvariantViolation(
+                        f"step {k} (t={t}): battery solve failed: {exc}"
+                    ) from exc
 
             v_bat = bat.terminal_voltage(bat_state, i_bat, battery)
             p_bat = i_bat * v_bat
@@ -270,7 +265,7 @@ def _loop(config, state, ledger, first, stop):
                 err = abs(p_served - min(p_pv_used, p_load)) + abs(p_bat)
             else:
                 err = abs(p_served) + abs(p_bat) + abs(p_pv_used)
-            if err > BALANCE_TOL * max(1.0, p_load, p_pv_used):
+            if not err <= BALANCE_TOL * max(1.0, p_load, p_pv_used):
                 raise InvariantViolation(
                     f"step {k} (t={t}): mode {mode} power balance off by {err:.3e} W"
                 )

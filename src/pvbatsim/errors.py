@@ -1,4 +1,5 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator. Each one means a failed run
+or command, never a branch of a step; the CLI maps them to its exit codes."""
 
 
 class PvbatsimError(Exception):
@@ -11,10 +12,6 @@ class DomainError(PvbatsimError, ValueError):
 
 class ConvergenceError(PvbatsimError):
     """An iterative solver failed to meet its tolerance."""
-
-
-class SingularityGuardError(PvbatsimError):
-    """A battery voltage law was evaluated too close to its SOC singularity."""
 
 
 class ConfigError(PvbatsimError, ValueError):

@@ -12,6 +12,8 @@ from pvbatsim import _kernels
 from pvbatsim.errors import ConvergenceError, DomainError
 
 #: Residual tolerance of the implicit diode equation, per returned point [A].
+#: Above 1,000 A of panel photocurrent it is ``1e-12 * i_ph`` instead: a double
+#: cannot resolve the residual of a larger current to 1e-9 A.
 RESIDUAL_TOL = 1e-9
 
 #: Elementary charge [C] and Boltzmann constant [J/K] (2019 SI exact values).
@@ -91,11 +93,11 @@ def _panel_terms(g, t_j, params):
 
 
 def _array_current(v_panel, i_ph, i_0, vt, params):
-    """Solve one panel at ``v_panel`` and scale to the array; checks the residual."""
+    """Solve one panel at ``v_panel`` and scale to the array; checks the residual (NaN fails)."""
     i_panel, residual, iters = _kernels.solve_diode_current(
         v_panel, i_ph, i_0, params.r_s, params.r_sh, vt
     )
-    if abs(residual) > RESIDUAL_TOL:
+    if not abs(residual) <= max(RESIDUAL_TOL, 1e-12 * i_ph):
         raise ConvergenceError(
             f"diode solve stalled at residual {residual:.3e} A after {iters} iterations"
         )
@@ -105,9 +107,10 @@ def _array_current(v_panel, i_ph, i_0, vt, params):
 def solve_operating_current(v_pv, g, t_j, params):
     """Array current at array voltage ``v_pv`` from the implicit diode equation.
 
-    The residual of the returned current satisfies ``|residual| <= 1e-9`` A at
-    panel level. Raises :class:`ConvergenceError` if the solver cannot reach
-    that tolerance, :class:`DomainError` for negative voltage or irradiance.
+    The residual of the returned current is within ``RESIDUAL_TOL`` (relative
+    above 1,000 A of photocurrent) at panel level. Raises
+    :class:`ConvergenceError` if the solver cannot reach that tolerance,
+    :class:`DomainError` for negative voltage or irradiance.
     """
     if v_pv < 0:
         raise DomainError(f"array voltage must be >= 0, got {v_pv}")
@@ -122,15 +125,15 @@ def operating_point(v_pv, g, t_j, params):
     yield a negative current; the series blocking diode prevents reverse
     flow, so the current is clamped to zero and flagged. The clamp is
     decided from the residual at zero current before any solve: the
-    residual falls strictly with current, so below ``-RESIDUAL_TOL`` every
-    root the solve could accept is negative and would be clamped anyway.
+    residual falls strictly with current, so below the solve's negated
+    tolerance every root it could accept is negative and would be clamped.
     """
     if v_pv < 0:
         raise DomainError(f"array voltage must be >= 0, got {v_pv}")
     i_ph, i_0, vt = _panel_terms(g, t_j, params)
     v_panel = v_pv / params.n_panels_series
     f0 = _kernels.diode_residual(0.0, v_panel, i_ph, i_0, params.r_s, params.r_sh, vt)
-    if f0 < -RESIDUAL_TOL:
+    if f0 < -max(RESIDUAL_TOL, 1e-12 * i_ph):
         return 0.0, v_pv * 0.0, True
     i_pv = _array_current(v_panel, i_ph, i_0, vt, params)
     if i_pv < 0.0:

@@ -10,8 +10,6 @@ under load, which is lower than at rest.
 
 from dataclasses import dataclass
 
-from pvbatsim.errors import DomainError
-
 MODE1 = 1  # PV feeds the load and recharges the battery
 MODE2 = 2  # PV insufficient, battery assists
 MODE3 = 3  # no usable PV, battery alone carries the load
@@ -65,12 +63,9 @@ def select_mode(p_pv, p_load, soc, state, config):
     outranks economics: a latched battery is never charged above the max band
     nor discharged below the min band. PV covering the load but with surplus
     below ``p_epsilon`` is served directly (MODE4) rather than cycling the
-    charger on a negligible surplus.
+    charger on a negligible surplus. The step loop passes powers >= 0 and an
+    SOC in [0, 1].
     """
-    if p_pv < 0 or p_load < 0:
-        raise DomainError("p_pv and p_load must be >= 0")
-    if not 0.0 <= soc <= 1.0:
-        raise DomainError("soc must lie in [0, 1]")
     if soc >= config.soc_max:
         state.charge_blocked = True
     elif soc <= config.soc_max_release:

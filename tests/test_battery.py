@@ -5,14 +5,15 @@ independent of the module implementation, and are also used by the
 acceptance suite.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pvbatsim import battery
+from pvbatsim import _kernels, battery
 from pvbatsim.config import build_sim_config
-from pvbatsim.errors import DomainError, SingularityGuardError
+from pvbatsim.errors import ConvergenceError
 
 
 # ---------------------------------------------------------------- oracles
@@ -76,10 +77,6 @@ class TestCapacity:
                 capacity_line(i, dt, params.c_10), rel=1e-12
             )
 
-    def test_negative_current_rejected(self, params):
-        with pytest.raises(DomainError):
-            battery.capacity(-1.0, 0.0, params)
-
 
 class TestDischargeVoltage:
     def test_open_circuit_full_cell(self, cell):
@@ -104,10 +101,6 @@ class TestDischargeVoltage:
         assert battery.discharge_voltage(0.8, 10.0, 0.0, params) < battery.discharge_voltage(
             0.8, 1.0, 0.0, params
         )
-
-    def test_floor_guard(self, params):
-        with pytest.raises(SingularityGuardError):
-            battery.discharge_voltage(0.004, 1.0, 0.0, params)
 
     def test_matches_oracle(self, params):
         rng = np.random.RandomState(7)
@@ -143,10 +136,6 @@ class TestChargeVoltage:
         assert battery.charge_voltage(0.5, 5.0, 0.0, params) > battery.charge_voltage(
             0.5, 0.0, 0.0, params
         )
-
-    def test_ceiling_guard(self, params):
-        with pytest.raises(SingularityGuardError):
-            battery.charge_voltage(0.996, 1.0, 0.0, params)
 
     def test_matches_oracle(self, params):
         rng = np.random.RandomState(11)
@@ -236,10 +225,6 @@ class TestSocUpdate:
         assert state.q == 0.0
         assert not battery.soc_update(state, 1.0, 1.0, params)
 
-    def test_bad_dt_rejected(self, params):
-        with pytest.raises(DomainError):
-            battery.soc_update(battery.BatteryState(), 1.0, 0.0, params)
-
 
 class TestRegimeOrdering:
     def test_charge_above_discharge(self, params):
@@ -273,21 +258,18 @@ class TestCurrentForPower:
         v = battery.terminal_voltage(state, i, params)
         assert abs(i * v - p) <= 1e-9 * max(1.0, abs(p))
 
-    def test_guards_propagate(self, params):
-        low = battery.BatteryState(soc=0.004, q=100.0)
-        with pytest.raises(SingularityGuardError):
-            battery.current_for_power(100.0, low, params)
-        high = battery.BatteryState(soc=0.999, q=0.1)
-        with pytest.raises(SingularityGuardError):
-            battery.current_for_power(-100.0, high, params)
-
     def test_undeliverable_power_raises(self, params):
-        from pvbatsim.errors import ConvergenceError
-
         # at low SOC the sag law caps deliverable power well below this
         state = battery.BatteryState(soc=0.15, q=150.0)
         with pytest.raises(ConvergenceError):
             battery.current_for_power(5000.0, state, params)
+
+    def test_nan_solve_raises(self, params, monkeypatch):
+        # a NaN residual fails the tolerance test instead of passing it
+        monkeypatch.setattr(_kernels, "battery_current_for_power",
+                            lambda *args: (math.nan, math.nan, 1))
+        with pytest.raises(ConvergenceError, match="residual nan W"):
+            battery.current_for_power(100.0, battery.state_for_soc(0.6, params), params)
 
     def test_random_powers_converge(self, params):
         rng = np.random.RandomState(9)

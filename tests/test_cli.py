@@ -128,6 +128,16 @@ class TestIvCurve:
         assert f"config error: {key}" in err and "--t" in err
         assert not out.exists()
 
+    def test_huge_photocurrent_converges(self, tmp_path, capsys):
+        # 1e6 A of photocurrent per panel: the solve ends about 2e-9 A off, which the
+        # relative tolerance accepts
+        cfg = tmp_path / "bright.yaml"
+        cfg.write_text("panel: {i_ph_ref: 1000}\n", encoding="utf-8")
+        out = tmp_path / "bright.csv"
+        argv = ["iv-curve", "--config", str(cfg), "--g", "1e6", "--points", "5", "--out", str(out)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 7
+
     def test_file_ends_with_newline(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         cli.main(["iv-curve", "--points", "5", "--out", str(out)])
@@ -551,6 +561,16 @@ class TestBadInputs:
                      "config error: unknown config key 'panel.preset'", id="preset-not-string"),
         pytest.param("battery: {c_10_ah: -1}", SIMULATE, 1,
                      "config error: battery.c_10_ah", id="battery-single-prefix"),
+        # a subnormal capacity makes the 10-hour current c_10_ah / 10 underflow to 0
+        pytest.param("battery: {c_10_ah: 5.0e-324}", SIMULATE, 1,
+                     "config error: battery.c_10_ah", id="c10-subnormal"),
+        pytest.param("battery: {c_10_ah: 9.0e-4}", SIMULATE, 1,
+                     "config error: battery.c_10_ah", id="c10-below-1mah"),
+        # g / g_ref is infinite on a subnormal reference: an hour of daylight reaches it
+        pytest.param(SUNLIT_HOUR + "panel: {g_ref: 5.0e-324}", SIMULATE, 1,
+                     "config error: panel.g_ref", id="g-ref-subnormal"),
+        pytest.param(SUNLIT_HOUR + "panel: {g_ref: 0.5}", SIMULATE, 1,
+                     "config error: panel.g_ref", id="g-ref-below-1"),
         pytest.param("mppt: {fuzzy: {e_range: -1}}", SIMULATE, 1,
                      "config error: mppt.fuzzy.e_range", id="fuzzy-single-prefix"),
         pytest.param("supervisor: {p_epsilon_w: 0}", SIMULATE, 1,

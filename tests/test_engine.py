@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 from pvbatsim import battery, converter, engine, mppt, pv, supervisor
 from pvbatsim.config import build_sim_config
-from pvbatsim.errors import (
-    ConfigError,
-    ConvergenceError,
-    InvariantViolation,
-    SingularityGuardError,
-)
+from pvbatsim.errors import ConfigError, ConvergenceError, InvariantViolation
 from pvbatsim.profiles import TimeSeriesProfile, sample
 from test_profiles import write_csv
 
@@ -129,6 +124,23 @@ class TestPowerBalance:
                 assert abs(rec.soc - prev_soc) <= coulomb + reference_shift + 1e-12
             prev_soc, prev_cap = rec.soc, cap
 
+    def test_nan_row_stops_the_run(self, monkeypatch):
+        # a NaN error fails the balance test instead of passing it
+        route = supervisor.route_power
+        calls = []
+
+        def nan_from_step_2(mode, p_pv, p_load):
+            calls.append(mode)
+            p_bat, p_served, p_curt, p_pv_used = route(mode, p_pv, p_load)
+            return p_bat, float("nan") if len(calls) > 2 else p_served, p_curt, p_pv_used
+
+        monkeypatch.setattr(supervisor, "route_power", nan_from_step_2)
+        config = make_config(g=0.0, p_load=200.0, t_end=10.0, initial_soc=0.5)
+        rows = []
+        with pytest.raises(InvariantViolation, match=r"^step 2 \(t=2\.0\): mode 3 power balance"):
+            rows.extend(engine.steps(config, engine.EnergyLedger()))
+        assert len(rows) == 2
+
 
 @st.composite
 def random_profile(draw, quantity, low, high):
@@ -178,7 +190,8 @@ class TestEfficiencyKnob:
         assert ledger.e_loss == 0.0
 
 
-#: A supervisor band wider than the voltage laws' SOC guards, so the guards fire.
+#: A supervisor band wider than the voltage laws' SOC band, so that the step
+#: loop's protective downgrade fires.
 GUARD_BAND = {"soc_min": 0.001, "soc_min_release": 0.002, "soc_max_release": 0.997,
               "soc_max": 0.9992}
 
@@ -207,6 +220,21 @@ class TestProtectiveDowngrade:
         rec = engine.step(config, state, engine.EnergyLedger(), 0)
         assert rec.mode == 5
         assert rec.p_load_served == 0.0
+        assert rec.clamp_flags & engine.FLAG_PROTECTIVE
+
+    @pytest.mark.parametrize("g,soc,mode", [(1000.0, battery.SOC_CEILING, 4),
+                                            (0.0, battery.SOC_FLOOR, 5)],
+                             ids=["charge", "discharge"])
+    def test_band_edges_downgrade(self, g, soc, mode):
+        # the band is open: its edges are already protective
+        config = make_config(
+            g=g, p_load=200.0 if g == 0.0 else 50.0, t_end=5.0, initial_soc=0.5,
+            supervisor=supervisor.SupervisorConfig(p_epsilon=1.0, **GUARD_BAND),
+        )
+        state = engine.init_state(config)
+        state.bat = battery.BatteryState(soc=soc, q=(1.0 - soc) * 176.0, charging=g > 0.0)
+        rec = engine.step(config, state, engine.EnergyLedger(), 0)
+        assert (rec.mode, rec.p_bat) == (mode, 0.0)
         assert rec.clamp_flags & engine.FLAG_PROTECTIVE
 
     @pytest.mark.parametrize("g,soc,mode", [(1000.0, 0.9951, 4), (0.0, 0.004, 5)],
@@ -436,15 +464,21 @@ def layered_step(config, state, schedule, t, ledger, step_index):
 
     mode = supervisor.select_mode(p_avail, p_load, bat_state.soc, sup_state, config.supervisor)
     p_bat_set, p_served, p_curt, p_pv_used = supervisor.route_power(mode, p_avail, p_load)
+    # the voltage laws carry no discharge at or below SOC_FLOOR and no charge at
+    # or above SOC_CEILING: such a power is not solved, and the mode drops to
+    # the one that leaves the battery idle in that direction
+    if p_bat_set > 0.0:
+        protective = bat_state.soc <= battery.SOC_FLOOR
+    else:
+        protective = p_bat_set < 0.0 and bat_state.soc >= battery.SOC_CEILING
+    if protective:
+        mode = supervisor.MODE5 if p_bat_set > 0 else supervisor.MODE4
+        p_bat_set, p_served, p_curt, p_pv_used = supervisor.route_power(mode, p_avail, p_load)
+        flags |= engine.FLAG_PROTECTIVE
     try:
         i_bat = (
             battery.current_for_power(p_bat_set, bat_state, params) if p_bat_set != 0.0 else 0.0
         )
-    except SingularityGuardError:
-        mode = supervisor.MODE4 if p_bat_set < 0 else supervisor.MODE5
-        p_bat_set, p_served, p_curt, p_pv_used = supervisor.route_power(mode, p_avail, p_load)
-        i_bat = 0.0
-        flags |= engine.FLAG_PROTECTIVE
     except ConvergenceError as exc:
         raise InvariantViolation(
             f"step {step_index} (t={t}): battery solve failed: {exc}") from exc
@@ -489,7 +523,7 @@ def check_balance(rec, step_index):
         err = abs(rec.p_load_served - min(rec.p_pv, rec.p_load_requested)) + abs(rec.p_bat)
     else:
         err = abs(rec.p_load_served) + abs(rec.p_bat) + abs(rec.p_pv)
-    if err > engine.BALANCE_TOL * scale:
+    if not err <= engine.BALANCE_TOL * scale:
         raise InvariantViolation(
             f"step {step_index} (t={rec.t}): mode {mode} power balance off by {err:.3e} W"
         )

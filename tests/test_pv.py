@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pvbatsim import _kernels, pv
 from pvbatsim.config import build_sim_config
-from pvbatsim.errors import ConfigError, DomainError
+from pvbatsim.errors import ConfigError, ConvergenceError, DomainError
 
 T_REF = 298.15
 G_REF = 1000.0
@@ -310,6 +310,26 @@ class TestBlockingDiodeClamp:
         i_pv, _, clamped = pv.operating_point(10.0, G_REF, T_REF, panel)
         assert not clamped
         assert i_pv > 0
+
+
+class TestResidualCheck:
+    def test_nan_solve_raises(self, panel, monkeypatch):
+        # a NaN residual fails the tolerance test instead of passing it
+        monkeypatch.setattr(_kernels, "solve_diode_current", lambda *args: (math.nan, math.nan, 1))
+        with pytest.raises(ConvergenceError, match="residual nan A"):
+            pv.operating_point(10.0, G_REF, T_REF, panel)
+
+    # 1e-9 A up to 1,000 A of photocurrent, 1e-12 * i_ph above it
+    @pytest.mark.parametrize("i_ph_ref,accepted", [(4.95, False), (1000.0, False),
+                                                   (1e4, True)])
+    def test_tolerance_relative_to_photocurrent(self, panel, monkeypatch, i_ph_ref, accepted):
+        monkeypatch.setattr(_kernels, "solve_diode_current", lambda *args: (1.0, 5e-9, 200))
+        big = replace(panel, i_ph_ref=i_ph_ref)
+        if accepted:
+            assert pv.solve_operating_current(10.0, G_REF, T_REF, big) == 1.0
+        else:
+            with pytest.raises(ConvergenceError):
+                pv.solve_operating_current(10.0, G_REF, T_REF, big)
 
 
 class TestSaturationCurrentLaw:

@@ -5,7 +5,7 @@ import pytest
 
 from pvbatsim import supervisor as sup
 from pvbatsim.config import build_sim_config
-from pvbatsim.errors import ConfigError, DomainError
+from pvbatsim.errors import ConfigError
 
 # Independent transcription of the mode/switch table.
 EXPECTED_SWITCHES = {
@@ -59,12 +59,6 @@ class TestSelectMode:
     def test_balanced_band_serves_load_directly(self, config):
         # PV covers the load but the surplus is below p_epsilon: no battery action
         assert pick(200.5, 200.0, 0.5, config) == sup.MODE4
-
-    def test_input_validation(self, config):
-        with pytest.raises(DomainError):
-            pick(-1.0, 200.0, 0.5, config)
-        with pytest.raises(DomainError):
-            pick(100.0, 200.0, 1.5, config)
 
     def test_threshold_order_validated(self):
         # the first threshold out of order is named: soc_min_release 0.25 < soc_min
