@@ -9,6 +9,8 @@ characteristic dump), ``mppt-compare`` (paired controller bench) and
 import argparse
 import contextlib
 import errno
+import itertools
+import marshal
 import os
 import sys
 
@@ -80,11 +82,61 @@ def _replaced_when_done(*outs):
                 os.remove(part)
 
 
+#: Rows per pipe frame to the CSV writer: the parent holds one frame at a time.
+_FRAME_ROWS = 512
+
+
+def _frames(pipe):
+    """Yield the body of each length-prefixed frame read from ``pipe`` until its end."""
+    while head := pipe.read(4):
+        yield pipe.read(int.from_bytes(head, "little"))
+
+
+def _write_csv_in_child(rows, controller, fh):
+    """:func:`engine.write_records_csv` in a forked child, fed ``rows`` in marshal frames.
+
+    The child leaves only through ``os._exit`` and is reaped before this
+    returns or raises; a failed child is an ``OSError``. Without ``os.fork``
+    the rows are written in this process.
+    """
+    if not hasattr(os, "fork"):
+        engine.write_records_csv(rows, controller, fh)
+        return
+    fh.flush()  # the child shares the file offset
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(write_fd)
+            with open(read_fd, "rb") as pipe:
+                frames = map(marshal.loads, _frames(pipe))
+                engine.write_records_csv(itertools.chain.from_iterable(frames), controller, fh)
+            fh.flush()
+            status = 0
+        except Exception as exc:
+            print(f"i/o error: CSV writer: {exc}", file=sys.stderr, flush=True)
+        finally:
+            os._exit(status)
+    os.close(read_fd)
+    try:
+        with open(write_fd, "wb") as pipe:
+            for batch in iter(lambda: list(itertools.islice(rows, _FRAME_ROWS)), []):
+                frame = marshal.dumps(batch)
+                pipe.write(len(frame).to_bytes(4, "little") + frame)
+    except BrokenPipeError:
+        pass  # the child stopped reading; its status says why
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise OSError(f"CSV writer exited with status {os.waitstatus_to_exitcode(status)}")
+
+
 def _cmd_simulate(args):
     config = _load_config(args.config, mppt_override=args.mppt)
     ledger = engine.EnergyLedger()
     with _replaced_when_done(args.out, args.out + ".ledger") as (rows, totals):
-        engine.write_records_csv(engine.steps(config, ledger), config.mppt_kind, rows)
+        _write_csv_in_child(engine.steps(config, ledger), config.mppt_kind, rows)
         totals.write(engine.ledger_to_text(ledger))
     closed = ledger.closes()
     print(

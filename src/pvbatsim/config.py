@@ -264,8 +264,8 @@ def check_panel_temperatures(panel, temps_c, reached):
         t_j = t_c + 273.15
         if 1.0 + panel.k_i * (t_j - panel.t_ref) <= 0.0:
             raise ConfigError(
-                f"panel.k_i ({panel.k_i:g}) makes the photocurrent factor "
-                f"1 + k_i * (t_j - t_ref) <= 0 at {t_c:g} degC, {reached}"
+                f"panel.k_i ({panel.k_i:g}) and panel.t_ref ({panel.t_ref:g} K) make the "
+                f"photocurrent factor 1 + k_i * (t_j - t_ref) <= 0 at {t_c:g} degC, {reached}"
             )
         try:
             i_0 = panel.saturation_current(t_j)
@@ -311,7 +311,8 @@ def build_sim_config(data=None, mppt_override=None):
     converter = _checked("converter", data.get("converter", {}))
     mppt = _checked("mppt", data.get("mppt", {}))
     if mppt["d0"] > converter["d_max"]:
-        raise ConfigError(f"mppt.d0 must be <= {converter['d_max']}")
+        raise ConfigError(f"mppt.d0 ({mppt['d0']:g}) must be <= converter.d_max "
+                          f"({converter['d_max']:g})")
     t_mppt = mppt["t_mppt"]
     if not (math.isfinite(sim["t_end"] / t_mppt) and math.isfinite(t_mppt / sim["dt"])):
         raise ConfigError(f"mppt.t_mppt_s ({t_mppt:g}) must give finite step counts: "

@@ -180,8 +180,8 @@ def _loop(config, state, ledger, first, stop):
 
     A charge at or above ``SOC_CEILING`` or a discharge at or below
     ``SOC_FLOOR`` is not solved: the step downgrades to protective mode 4 or
-    5. A solver failure, a NaN solve or a row off its power balance ends the
-    run with the step index attached.
+    5. A solver failure, a NaN solve, a battery solve that overflows or a row
+    off its power balance ends the run with the step index attached.
     """
     panel = config.panel
     battery = config.battery
@@ -232,9 +232,9 @@ def _loop(config, state, ledger, first, stop):
             elif p_bat_set != 0.0:
                 try:
                     i_bat = bat.current_for_power(p_bat_set, bat_state, battery)
-                except ConvergenceError as exc:
+                except (ConvergenceError, OverflowError) as exc:
                     raise InvariantViolation(
-                        f"step {k} (t={t}): battery solve failed: {exc}"
+                        f"step {k} (t={t}): battery solve for {p_bat_set:g} W failed: {exc}"
                     ) from exc
 
             v_bat = bat.terminal_voltage(bat_state, i_bat, battery)

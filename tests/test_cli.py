@@ -19,6 +19,16 @@ profiles:
     g_peak_wm2: 900.0
 """
 
+#: SHA-256 of the default day's CSV and ledger.
+DEFAULT_DAY_SHA256 = ("5a18b1177bf1edc2ff458fc6fc904ed7767b27f08007712793c6e84f046d3c77",
+                      "6633012b10f919155d2801b1bc950893d4ce9e31fe499af43b64405bbb91d956")
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def short_config(tmp_path):
     path = tmp_path / "short.yaml"
@@ -218,10 +228,8 @@ class TestSimulate:
         ledger = (tmp_path / "day.csv.ledger").read_bytes()
         assert ledger.endswith(b"\n")
         # byte-identity pin of the default day
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "5a18b1177bf1edc2ff458fc6fc904ed7767b27f08007712793c6e84f046d3c77")
-        assert hashlib.sha256(ledger).hexdigest() == (
-            "6633012b10f919155d2801b1bc950893d4ce9e31fe499af43b64405bbb91d956")
+        assert (hashlib.sha256(text.encode()).hexdigest(),
+                hashlib.sha256(ledger).hexdigest()) == DEFAULT_DAY_SHA256
 
 
 class TestSimulateStreaming:
@@ -295,6 +303,51 @@ class TestSimulateStreaming:
                 assert path.is_dir() and not any(path.iterdir())
             else:
                 assert path.read_bytes() == b"previous " + path.name.encode() + b"\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.ledger",
+                                                              "short.yaml"]
+
+
+class TestCsvWriterProcess:
+    """``simulate`` formats the CSV in a forked child, or in process without ``os.fork``."""
+
+    def test_default_day_in_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "day.csv"
+        assert cli.main(["simulate", "--out", str(out)]) == 0
+        assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256((tmp_path / "day.csv.ledger").read_bytes()).hexdigest()
+                ) == DEFAULT_DAY_SHA256
+
+    def test_failed_run_reaps_writer(self, tmp_path, capsys):
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text("battery: {c_10_ah: 3}\n", encoding="utf-8")
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"previous records\n")
+        ledger = tmp_path / "run.csv.ledger"
+        ledger.write_bytes(b"previous ledger\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "invariant violation: step 1396 " in capsys.readouterr().err
+        assert_no_child_process()
+        assert out.read_bytes() == b"previous records\n"
+        assert ledger.read_bytes() == b"previous ledger\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.ledger",
+                                                              "small.yaml"]
+
+    def test_failed_writer_exits_2(self, short_config, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"previous records\n")
+        ledger = tmp_path / "run.csv.ledger"
+        ledger.write_bytes(b"previous ledger\n")
+
+        def failing_writer(rows, controller, fh):
+            raise OSError("injected writer failure")
+
+        monkeypatch.setattr(engine, "write_records_csv", failing_writer)
+        assert cli.main(["simulate", "--config", short_config, "--out", str(out)]) == 2
+        assert "i/o error: CSV writer exited with status 1" in capsys.readouterr().err
+        assert_no_child_process()
+        assert out.read_bytes() == b"previous records\n"
+        assert ledger.read_bytes() == b"previous ledger\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.ledger",
                                                               "short.yaml"]
 
@@ -498,6 +551,7 @@ def input_files(tmp_path):
     (tmp_path / "row.csv").write_text("time_s,load_w\n0,100\nabc,100\n", encoding="utf-8")
     (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbftime_s,load_w\n0,100\n")
     (tmp_path / "latin1.csv").write_bytes(b"time_s,load_w\n0,100\xff\n")
+    (tmp_path / "huge.csv").write_text("time_s,load_w\n0,1e300\n60,1e300\n", encoding="utf-8")
     (tmp_path / "latin1.yaml").write_bytes(b"\xff\xfe")
     (tmp_path / "adir").mkdir()
     return tmp_path
@@ -547,6 +601,10 @@ class TestBadInputs:
         pytest.param(CSV_LOAD % "{tmp}/latin1.csv", SIMULATE, 1,
                      "config error: profiles.load.csv", id="csv-not-utf8"),
         pytest.param(CSV_LOAD % "{tmp}/adir", SIMULATE, 2, "{tmp}/adir", id="csv-directory"),
+        # profile values have no upper bound: the battery solve overflows
+        pytest.param(CSV_LOAD % "{tmp}/huge.csv", SIMULATE, 3,
+                     "invariant violation: step 0 (t=0.0): battery solve for 1e+300 W failed",
+                     id="csv-load-overflows-battery-solve"),
         pytest.param(None, ["simulate", "--config", "{tmp}/adir", "--out", "{tmp}/o.csv"], 2,
                      "{tmp}/adir", id="config-directory"),
         pytest.param(None, ["simulate", "--config", "{tmp}/latin1.yaml", "--out", "{tmp}/o.csv"],
@@ -614,6 +672,12 @@ class TestBadInputs:
         # 1 + k_i * (t_j - t_ref) is negative above 26 degC, and the day reaches 35
         pytest.param("panel: {k_i: -1}", SIMULATE, 1,
                      "config error: panel.k_i", id="k-i-negative-photocurrent"),
+        pytest.param("panel: {t_ref: 1.0e+6}", SIMULATE, 1,
+                     "config error: panel.k_i (0.0005) and panel.t_ref (1e+06 K)",
+                     id="t-ref-negative-photocurrent"),
+        pytest.param("converter: {d_max: 0}", SIMULATE, 1,
+                     "config error: mppt.d0 (0.4) must be <= converter.d_max (0)",
+                     id="d-max-below-d0"),
         # (t_j / t_ref) ** i_0_temp_exp overflows, or underflows to a zero saturation current
         pytest.param("panel: {t_ref: 1.0e-300, i_0_temp_exp: 10}", SIMULATE, 1,
                      "config error: panel.t_ref", id="t-ref-saturation-overflow"),
