@@ -110,21 +110,17 @@ def charge_voltage(soc, i_bat, delta_t, params):
 def terminal_voltage(state, i_bat, params):
     """Bank terminal voltage at signed bank current ``i_bat`` [V].
 
-    Positive current dispatches to the discharge law, negative to the charge
-    law (with the per-string magnitude); zero current returns the open-circuit
-    branch of the last regime. The two branches deliberately differ at zero
-    current: the gap is the model's charge/discharge hysteresis. A run passes
-    zero or a current that :func:`current_for_power` solved at this SOC.
+    Negative current, or zero current after a charge, takes the charge law;
+    the rest takes the discharge law, each at the per-string magnitude. At
+    zero current the two laws give their open-circuit branches, which
+    deliberately differ: the gap is the model's charge/discharge hysteresis.
+    A run passes zero or a current that :func:`current_for_power` solved at
+    this SOC.
     """
-    dt = params.delta_t
     i_str = abs(i_bat) / params.n_parallel
-    if i_bat > 0:
-        return discharge_voltage(state.soc, i_str, dt, params)
-    if i_bat < 0:
-        return charge_voltage(state.soc, i_str, dt, params)
-    if state.charging:
-        return charge_voltage(state.soc, 0.0, dt, params)
-    return discharge_voltage(state.soc, 0.0, dt, params)
+    if i_bat < 0 or (i_bat == 0 and state.charging):
+        return charge_voltage(state.soc, i_str, params.delta_t, params)
+    return discharge_voltage(state.soc, i_str, params.delta_t, params)
 
 
 def soc_update(state, i_bat, dt_h, params):
@@ -160,8 +156,6 @@ def current_for_power(p_bat, state, params):
     and a charge ``soc < SOC_CEILING`` (the step loop downgrades instead).
     Raises :class:`ConvergenceError` on a stall or a NaN residual.
     """
-    if p_bat == 0.0:
-        return 0.0
     i, residual, _ = _kernels.battery_current_for_power(
         p_bat,
         state.soc,

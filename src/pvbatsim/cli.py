@@ -19,7 +19,7 @@ from pvbatsim import mppt as mp
 from pvbatsim.config import (build_sim_config, check_panel_temperatures, default_config,
                              load_config_file)
 from pvbatsim.errors import ConfigError, InvariantViolation, PvbatsimError
-from pvbatsim.profiles import cursor
+from pvbatsim.profiles import T_MAX_C, cursor
 from pvbatsim.supervisor import SWITCH_TABLE
 
 EXIT_OK = 0
@@ -33,10 +33,6 @@ CONFIG_ENV_VAR = "PVBATSIM_CONFIG"
 #: Largest ``iv-curve --g`` [W/m2]: 1,000 suns. The diode solve stalls from
 #: about 2e7 W/m2; up to this bound it converges from -60 to 200 degC.
 IV_G_MAX = 1e6
-
-#: Largest ``iv-curve --t`` [degC]: the top of the range over which the diode
-#: solve and the MPP search are checked to converge.
-IV_T_MAX = 200.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,8 +155,8 @@ def _cmd_iv_curve(args):
     if not 0 <= args.g <= IV_G_MAX:
         print(f"iv-curve: --g must be a number in [0, {IV_G_MAX:g}] W/m2", file=sys.stderr)
         return EXIT_CONFIG
-    if not -273.15 < args.t <= IV_T_MAX:
-        print(f"iv-curve: --t must be a temperature in (-273.15, {IV_T_MAX:g}] degC",
+    if not -273.15 < args.t <= T_MAX_C:
+        print(f"iv-curve: --t must be a temperature in (-273.15, {T_MAX_C:g}] degC",
               file=sys.stderr)
         return EXIT_CONFIG
     if args.points < 2:

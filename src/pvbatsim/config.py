@@ -17,7 +17,7 @@ from pvbatsim import pv
 from pvbatsim import supervisor as sup
 from pvbatsim.engine import SimConfig
 from pvbatsim.errors import ConfigError, ProfileError
-from pvbatsim.profiles import load_csv, synthetic_day
+from pvbatsim.profiles import T_MAX_C, load_csv, synthetic_day
 
 # Bounds, as keyword arguments of ``_number``.
 _ANY = {}
@@ -88,7 +88,7 @@ _SCHEMA = (
     ("profiles.synthetic", "g_peak_wm2", "g_peak", 1000.0, _NON_NEGATIVE),
     # the day's coldest value is t_min_c, so absolute zero bounds the whole profile
     ("profiles.synthetic", "t_min_c", "t_min", 15.0, {"minimum": -273.15, "exclusive_min": True}),
-    ("profiles.synthetic", "t_max_c", "t_max", 35.0, _ANY),  # and >= t_min_c
+    ("profiles.synthetic", "t_max_c", "t_max", 35.0, {"maximum": T_MAX_C}),  # and >= t_min_c
     ("profiles.synthetic", "sunrise_h", "sunrise_h", 6.0, _HOUR),  # and < sunset_h
     ("profiles.synthetic", "sunset_h", "sunset_h", 18.0, _HOUR),
     ("profiles.synthetic", "temp_lag_h", "temp_lag_h", 1.0, _ANY),

@@ -26,7 +26,7 @@ from pvbatsim import converter
 from pvbatsim import mppt as mp
 from pvbatsim import pv
 from pvbatsim import supervisor as sup
-from pvbatsim.errors import ConfigError, ConvergenceError, InvariantViolation
+from pvbatsim.errors import ConvergenceError, InvariantViolation
 from pvbatsim.profiles import TimeSeriesProfile, cursor
 
 #: Relative tolerance of the per-record power balance and the ledger closure.
@@ -331,32 +331,30 @@ def ledger_to_text(ledger):
 
 
 def run_tracking(kind, panel, g, t_c, n_steps, v_bus, state, fuzzy, eta):
-    """Desk-scale MPPT bench: one controller against a static curve.
+    """Desk-scale MPPT bench: one ``"po"`` or ``"flc"`` controller against a static curve.
 
     The bus is held at ``v_bus`` and the conditions at ``g`` (W/m2) and
-    ``t_c`` (Celsius); the converter passes ``eta`` of the PV power. ``state``
-    is updated in place, so a run over several plateaus carries one state
-    from call to call. Returns ``n_steps`` samples ``(d, v, p)``.
+    ``t_c`` (Celsius). As in :func:`steps`, the controller acts on the array's
+    power; each sample records the ``eta`` of it that the converter passes.
+    ``state`` is updated in place, so a run over several plateaus carries one
+    state from call to call. Returns ``n_steps`` samples ``(d, v, eta * p_pv)``.
 
     A settled controller revisits a few port voltages over and over, so
     each distinct voltage is solved once and its power reused:
     ``pv.operating_point`` is pure, so the samples are the ones a solve at
     every step would give.
     """
-    if kind not in ("po", "flc"):
-        raise ConfigError(f"unknown controller kind {kind!r}")
     po = kind == "po"
     t_j = t_c + 273.15
     out = []
-    powers = {}  # port voltage -> eta * p_pv
+    powers = {}  # port voltage -> p_pv
     for _ in range(n_steps):
         d = state.d
         v = converter.pv_port_voltage(v_bus, d)
         p = powers.get(v)
         if p is None:
-            _, p_pv, _ = pv.operating_point(v, g, t_j, panel)
-            p = powers[v] = eta * p_pv
-        out.append((d, v, p))
+            p = powers[v] = pv.operating_point(v, g, t_j, panel)[1]
+        out.append((d, v, eta * p))
         if po:
             mp.po_step(p, v, state)
         else:

@@ -15,6 +15,10 @@ QUANTITIES = ("irradiance_wm2", "temperature_c", "load_w")
 #: Quantities that must be non-negative.
 _NON_NEGATIVE = ("irradiance_wm2", "load_w")
 
+#: Hottest temperature [degC] a profile or ``iv-curve --t`` may set: the top of
+#: the range over which the diode solve and the MPP search are checked to converge.
+T_MAX_C = 200.0
+
 #: Knot spacing of the synthetic day's irradiance and temperature [s].
 SYNTHETIC_KNOT_S = 60.0
 
@@ -92,11 +96,10 @@ def load_csv(path, column):
     """Read a two-column profile CSV with header ``time_s,<column>``.
 
     Validation failures (missing column, non-monotonic time, NaN, negative
-    irradiance/load, temperature at or below absolute zero, unparseable
-    rows) raise :class:`ProfileError` naming the offending row.
+    irradiance/load, temperature at or below absolute zero or above
+    :data:`T_MAX_C`, unparseable rows) raise :class:`ProfileError` naming
+    the offending row. ``column`` is one of :data:`QUANTITIES`.
     """
-    if column not in QUANTITIES:
-        raise ProfileError(f"unknown quantity {column!r}, expected one of {QUANTITIES}")
     times, values = [], []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -119,9 +122,9 @@ def load_csv(path, column):
             if column in _NON_NEGATIVE and v < 0:
                 raise ProfileError(f"{path}: row {row_no}: negative {column} value {v}")
             # the engine takes the junction temperature as v + 273.15 K
-            if column == "temperature_c" and v + 273.15 <= 0:
+            if column == "temperature_c" and not (v + 273.15 > 0 and v <= T_MAX_C):
                 raise ProfileError(f"{path}: row {row_no}: temperature {v} degC is at or "
-                                   "below absolute zero")
+                                   f"below absolute zero or above {T_MAX_C:g} degC")
             if times and t <= times[-1]:
                 raise ProfileError(f"{path}: row {row_no}: non-monotonic timestamp {t}")
             times.append(t)

@@ -73,19 +73,15 @@ class PvPanelParams:
 
     def saturation_current(self, t_j):
         """Diode saturation current at junction temperature ``t_j`` [A]."""
-        if self.i_0_temp_exp == 0.0:
-            return self.i_0_ref
         return self.i_0_ref * (t_j / self.t_ref) ** self.i_0_temp_exp
 
 
 def _panel_terms(g, t_j, params):
     """Photocurrent, saturation current and thermal voltage of one panel.
 
-    Every PV solve starts here, so this is where ``g`` and ``t_j`` are
-    checked.
+    Every PV solve starts here, so this is where ``t_j > 0`` is checked:
+    interpolation can reach 0 K next to a knot just above absolute zero.
     """
-    if g < 0:
-        raise DomainError(f"irradiance must be >= 0, got {g}")
     if t_j <= 0:
         raise DomainError(f"junction temperature must be > 0 K, got {t_j}")
     i_ph = params.i_ph_ref * (g / params.g_ref) * (1.0 + params.k_i * (t_j - params.t_ref))
@@ -109,11 +105,9 @@ def solve_operating_current(v_pv, g, t_j, params):
 
     The residual of the returned current is within ``RESIDUAL_TOL`` (relative
     above 1,000 A of photocurrent) at panel level. Raises
-    :class:`ConvergenceError` if the solver cannot reach that tolerance,
-    :class:`DomainError` for negative voltage or irradiance.
+    :class:`ConvergenceError` if the solver cannot reach that tolerance.
+    ``v_pv`` is non-negative.
     """
-    if v_pv < 0:
-        raise DomainError(f"array voltage must be >= 0, got {v_pv}")
     i_ph, i_0, vt = _panel_terms(g, t_j, params)
     return _array_current(v_pv / params.n_panels_series, i_ph, i_0, vt, params)
 
@@ -128,8 +122,6 @@ def operating_point(v_pv, g, t_j, params):
     residual falls strictly with current, so below the solve's negated
     tolerance every root it could accept is negative and would be clamped.
     """
-    if v_pv < 0:
-        raise DomainError(f"array voltage must be >= 0, got {v_pv}")
     i_ph, i_0, vt = _panel_terms(g, t_j, params)
     v_panel = v_pv / params.n_panels_series
     f0 = _kernels.diode_residual(0.0, v_panel, i_ph, i_0, params.r_s, params.r_sh, vt)
@@ -149,9 +141,7 @@ def open_circuit_voltage(g, t_j, params):
 
 
 def iv_sweep(g, t_j, n_points, params):
-    """Sweep ``n_points`` array points ``(v, i, p)`` at voltages evenly spaced on [0, Voc]."""
-    if n_points < 2:
-        raise DomainError("iv_sweep needs n_points >= 2")
+    """Sweep ``n_points`` (at least 2) array points ``(v, i, p)``, evenly spaced on [0, Voc]."""
     v_oc = open_circuit_voltage(g, t_j, params)
     step = v_oc / (n_points - 1)
     points = []

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvbatsim import _kernels, battery
 from pvbatsim.config import build_sim_config
@@ -171,6 +173,28 @@ class TestTerminalVoltage:
         assert v_dis == pytest.approx(1.965 + 0.12 * 0.99, rel=1e-12)
         assert v_chg == pytest.approx(2.0 + 0.16 * 0.99, rel=1e-12)
         assert v_chg > v_dis
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(soc=st.floats(battery.SOC_FLOOR, battery.SOC_CEILING, exclude_min=True,
+                         exclude_max=True),
+           i_bat=st.sampled_from([0.0, -0.0]) | st.floats(-500.0, 500.0),
+           charging=st.booleans(), n_parallel=st.integers(1, 4))
+    def test_two_branches_match_four_way_dispatch(self, soc, i_bat, charging, n_parallel):
+        params = replace(BANK, n_parallel=n_parallel)
+        state = battery.BatteryState(soc=soc, charging=charging)
+
+        def four_way():
+            # reference: zero current picks the last regime's open-circuit branch itself
+            dt, i_str = params.delta_t, abs(i_bat) / params.n_parallel
+            if i_bat > 0:
+                return battery.discharge_voltage(state.soc, i_str, dt, params)
+            if i_bat < 0:
+                return battery.charge_voltage(state.soc, i_str, dt, params)
+            if state.charging:
+                return battery.charge_voltage(state.soc, 0.0, dt, params)
+            return battery.discharge_voltage(state.soc, 0.0, dt, params)
+
+        assert battery.terminal_voltage(state, i_bat, params).hex() == four_way().hex()
 
     def test_parallel_strings_split_current(self):
         single = BANK

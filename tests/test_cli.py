@@ -547,6 +547,7 @@ def input_files(tmp_path):
     (tmp_path / "load.csv").write_text("time_s,load_w\n0,100\n60,100\n", encoding="utf-8")
     (tmp_path / "cold.csv").write_text("time_s,temperature_c\n0,25\n60,-300\n",
                                        encoding="utf-8")
+    (tmp_path / "hot.csv").write_text("time_s,temperature_c\n0,25\n60,201\n", encoding="utf-8")
     (tmp_path / "header.csv").write_text("time_s,power_w\n0,100\n", encoding="utf-8")
     (tmp_path / "row.csv").write_text("time_s,load_w\n0,100\nabc,100\n", encoding="utf-8")
     (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbftime_s,load_w\n0,100\n")
@@ -647,6 +648,13 @@ class TestBadInputs:
                      "config error: profiles.temperature.csv", id="csv-below-absolute-zero"),
         pytest.param("profiles: {synthetic: {t_min_c: -400}}", SIMULATE, 1,
                      "config error: profiles.synthetic.t_min_c", id="synthetic-below-absolute-zero"),
+        # the diode solve and the MPP search are checked to converge up to 200 degC
+        pytest.param(CSV_TEMP % "{tmp}/hot.csv", SIMULATE, 1,
+                     "config error: profiles.temperature.csv: {tmp}/hot.csv: row 3: temperature "
+                     "201.0 degC", id="csv-above-max-temperature"),
+        pytest.param("profiles: {synthetic: {t_max_c: 1.0e+6}}", SIMULATE, 1,
+                     "config error: profiles.synthetic.t_max_c must be <= 200",
+                     id="synthetic-above-max-temperature"),
         pytest.param("panel: {t_ref: 0, i_0_temp_exp: 3}", SIMULATE, 1,
                      "config error: panel.t_ref", id="panel-t-ref-zero"),
         pytest.param("panel: {t_ref: -5}", SIMULATE, 1,

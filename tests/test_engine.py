@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pvbatsim import battery, converter, engine, mppt, pv, supervisor
 from pvbatsim.config import build_sim_config
-from pvbatsim.errors import ConfigError, ConvergenceError, InvariantViolation
+from pvbatsim.errors import ConvergenceError, InvariantViolation
 from pvbatsim.profiles import TimeSeriesProfile, sample
 from test_profiles import write_csv
 
@@ -313,26 +313,35 @@ class TestTrackingBench:
         samples = track("po", self.PANEL, 0.0, 25.0, 50, 48.0)
         assert all(p == 0.0 for _, _, p in samples)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            track("newton", self.PANEL, 1000.0, 25.0, 10, 48.0)
+    @pytest.mark.parametrize("kind", ["po", "flc"])
+    def test_duty_path_does_not_depend_on_eta(self, kind):
+        # the controllers see the array's power, as in simulate; only the
+        # recorded power is the bus side's eta times it
+        runs = {eta: engine.run_tracking(kind, TRACK_PANEL, 1000.0, 25.0, 300, 48.0,
+                                         start_state(), DEFAULTS.fuzzy, eta)
+                for eta in (1.0, 0.5)}
+        assert [(d, v) for d, v, _ in runs[0.5]] == [(d, v) for d, v, _ in runs[1.0]]
+        assert [p for _, _, p in runs[0.5]] == [0.5 * p for _, _, p in runs[1.0]]
 
 
 def uncached_tracking(kind, panel, g_seq, t_seq, v_bus, d0=DEFAULTS.d0,
                       delta_d=DEFAULTS.delta_d, eta=DEFAULTS.eta):
-    """Reference bench: one PV solve at every step, as ``run_tracking`` did before its memo."""
+    """Reference bench: one PV solve at every step, as ``run_tracking`` did before its memo.
+
+    The controller steps on the array's power, as in ``engine.steps``; the
+    samples record ``eta`` of it.
+    """
     fuzzy = DEFAULTS.fuzzy
     state = start_state(d0, delta_d)
     out = []
     for g, t_c in zip(g_seq, t_seq):
         v = (1.0 - state.d) * v_bus
         _, p_pv, _ = pv.operating_point(v, g, t_c + 273.15, panel)
-        p = eta * p_pv
-        out.append((state.d, v, p))
+        out.append((state.d, v, eta * p_pv))
         if kind == "po":
-            mppt.po_step(p, v, state)
+            mppt.po_step(p_pv, v, state)
         else:
-            mppt.flc_step(p, v, state, fuzzy)
+            mppt.flc_step(p_pv, v, state, fuzzy)
     return out
 
 

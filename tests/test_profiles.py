@@ -80,7 +80,7 @@ def profile_rows(draw):
     """A quantity and its rows: finite, strictly increasing times, in-range values."""
     quantity = draw(st.sampled_from(profiles.QUANTITIES))
     if quantity == "temperature_c":
-        values = st.floats(-273.15, exclude_min=True, allow_infinity=False)
+        values = st.floats(-273.15, profiles.T_MAX_C, exclude_min=True)
     else:
         values = st.floats(0.0, allow_infinity=False)
     rows = draw(st.lists(st.tuples(FINITE, values), min_size=1, max_size=30,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvbatsim import _kernels, pv
+from pvbatsim import _kernels, profiles, pv
 from pvbatsim.config import build_sim_config
 from pvbatsim.errors import ConfigError, ConvergenceError, DomainError
 
@@ -95,9 +95,16 @@ class TestPhotoCurrent:
         expected = panel.i_ph_ref * (1.0 + panel.k_i * 10.0)
         assert pv._panel_terms(G_REF, T_REF + 10.0, panel)[0] == pytest.approx(expected)
 
-    def test_negative_irradiance_rejected(self, panel):
-        with pytest.raises(DomainError):
-            pv._panel_terms(-1.0, T_REF, panel)
+    def test_interpolated_absolute_zero_rejected(self, panel):
+        # a knot one ulp above absolute zero after a warm knot: one step
+        # before it, the interpolated temperature rounds to -273.15 degC
+        cold = math.nextafter(-273.15, 0.0)
+        profile = profiles.TimeSeriesProfile(
+            (330.5358996403058, 1007.513119579341), (186.2008905575974, cold), "temperature_c")
+        t_c = profiles.cursor(profile)(math.nextafter(1007.513119579341, 0.0))
+        assert t_c + 273.15 <= 0.0
+        with pytest.raises(DomainError, match="junction temperature must be > 0 K"):
+            pv.operating_point(10.0, G_REF, t_c + 273.15, panel)
 
 
 class TestSolveOperatingCurrent:
@@ -126,10 +133,6 @@ class TestSolveOperatingCurrent:
         points = pv.iv_sweep(G_REF, T_REF, 200, panel)
         currents = [i for _, i, _ in points]
         assert all(a > b for a, b in zip(currents, currents[1:]))
-
-    def test_negative_voltage_rejected(self, panel):
-        with pytest.raises(DomainError):
-            pv.solve_operating_current(-0.1, G_REF, T_REF, panel)
 
     def test_residual_contract_along_sweep(self, panel):
         for v_pv, i_pv, _ in pv.iv_sweep(G_REF, T_REF, 100, panel):
@@ -164,10 +167,6 @@ class TestIvSweep:
             1 for a, b in zip(diffs, diffs[1:]) if (a > 0) != (b > 0)
         )
         assert sign_changes == 1
-
-    def test_needs_two_points(self, panel):
-        with pytest.raises(DomainError):
-            pv.iv_sweep(G_REF, T_REF, 1, panel)
 
     def test_operating_point_invariant(self, panel):
         for v_pv, i_pv, p_pv in pv.iv_sweep(800.0, 310.0, 50, panel):
@@ -310,6 +309,15 @@ class TestBlockingDiodeClamp:
         i_pv, _, clamped = pv.operating_point(10.0, G_REF, T_REF, panel)
         assert not clamped
         assert i_pv > 0
+
+    def test_interpolated_negative_irradiance_clamps(self, panel):
+        # interpolating 0.963 W/m2 down to 0 reads one rounding below zero a
+        # step before the zero knot: the panel then gives no power
+        profile = profiles.TimeSeriesProfile(
+            (76.73701417104525, 764.2437315367456), (0.9632279541757532, 0.0), "irradiance_wm2")
+        g = profiles.cursor(profile)(764.2437315367455)
+        assert g < 0.0
+        assert pv.operating_point(10.0, g, T_REF, panel) == (0.0, 0.0, True)
 
 
 class TestResidualCheck:
