@@ -1,14 +1,12 @@
-"""Numeric kernels: the implicit diode solve and the battery fixed point.
+"""Numeric kernels: the diode solve, the battery's voltage law and its fixed point.
 
 The implementations live in ``_pure``. Callers look them up on this package
 at call time (``_kernels.solve_diode_current``), so a tracer can rebind them.
 """
 
 from pvbatsim._kernels._pure import (
-    battery_current_for_power,
-    diode_residual,
-    open_circuit_voltage,
-    solve_diode_current,
+    battery_current_for_power, battery_law, battery_ocv, battery_tolerance, battery_voltage,
+    diode_residual, open_circuit_voltage, solve_diode_current,
 )
 
 

@@ -1,5 +1,5 @@
 """Pure-Python numeric kernels: the implicit diode solve, the open-circuit
-voltage and the battery power->current fixed point.
+voltage, the battery's loaded-voltage law and its power->current fixed point.
 """
 
 import math
@@ -13,8 +13,7 @@ _EXP_CAP = 600.0
 DIODE_TOL = 1e-12
 DIODE_MAX_ITER = 200
 
-#: Relative power tolerance and iteration budget of the battery fixed point.
-BATTERY_TOL_REL = 1e-9
+#: Iteration budget of the battery fixed point; its tolerance is battery_tolerance().
 BATTERY_MAX_ITER = 60
 
 
@@ -124,8 +123,39 @@ def open_circuit_voltage(i_ph, i_0, r_sh, vt):
     return v
 
 
-def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
-                              discharge_exp):
+def battery_tolerance(p):
+    """Largest residual [W] the battery fixed point accepts at power ``p``: |p| / 10^9, at least 1 nW."""
+    p = abs(p)  # a conditional, not max(): the same value, NaN included, at half the cost
+    return 1e-9 * (p if p > 1.0 else 1.0)
+
+
+def battery_ocv(soc, n_serial, charging):
+    """Open-circuit voltage of one string [V]: the voltage law at zero current, for any SOC."""
+    return n_serial * (2.0 + 0.16 * soc) if charging else n_serial * (1.965 + 0.12 * soc)
+
+
+def battery_law(soc, delta_t, n_serial, discharge_exp, charging):
+    """The current-free terms ``(ocv, n, k, ex, c, soc_term, temp)`` of one string's voltage law.
+
+    A discharge has ``n = -n_serial`` (adding ``-n_serial * sag`` equals subtracting
+    ``n_serial * sag`` bit for bit) and needs ``soc > 0``; a charge needs ``soc < 1``.
+    """
+    if charging:
+        return (battery_ocv(soc, n_serial, True), n_serial, 6.0, 0.86, 0.036,
+                0.48 / (1.0 - soc) ** 1.2, 1.0 - 0.025 * delta_t)
+    return (battery_ocv(soc, n_serial, False), -n_serial, 4.0, discharge_exp, 0.02,
+            0.27 / soc**1.5, 1.0 - 0.007 * delta_t)
+
+
+def battery_voltage(i_str, c10, law):
+    """One string's voltage [V] at current magnitude ``i_str`` under :func:`battery_law`."""
+    ocv, n, k, ex, c, soc_term, temp = law
+    if i_str == 0.0:
+        return ocv
+    return ocv + n * ((i_str / c10) * (k / (1.0 + i_str**ex) + soc_term + c) * temp)
+
+
+def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel, discharge_exp):
     """Solve the bank current delivering power ``p`` (positive = discharge).
 
     The terminal voltage depends on the current, so ``i = p / v(i)`` is
@@ -134,24 +164,12 @@ def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
     """
     if p == 0.0:
         return 0.0, 0.0, 0
-    tol = BATTERY_TOL_REL * max(1.0, abs(p))
-    # The voltage law of battery.discharge_voltage or charge_voltage, written
-    # out as ocv + n * (i/c10 * (k / (1 + i**ex) + soc_term + c) * temp): the
-    # terms that do not depend on the current are computed once. Discharge
-    # uses n = -n_serial, and ocv + (-n_serial) * sag equals
-    # ocv - n_serial * sag bit for bit.
-    if p > 0.0:
-        ocv = n_serial * (1.965 + 0.12 * soc)
-        n, k, ex, c = -n_serial, 4.0, discharge_exp, 0.02
-        soc_term = 0.27 / soc**1.5
-        temp = 1.0 - 0.007 * delta_t
-    else:
-        ocv = n_serial * (2.0 + 0.16 * soc)
-        n, k, ex, c = n_serial, 6.0, 0.86, 0.036
-        soc_term = 0.48 / (1.0 - soc) ** 1.2
-        temp = 1.0 - 0.025 * delta_t
+    tol = battery_tolerance(p)
+    # a NaN setpoint takes the charge branch
+    law = battery_law(soc, delta_t, n_serial, discharge_exp, not p > 0.0)
+    voltage = battery_voltage
     i = 0.0
-    v = ocv
+    v = law[0]
     residual = -p
     prev_abs = abs(residual)
     for it in range(1, BATTERY_MAX_ITER + 1):
@@ -159,19 +177,15 @@ def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
             # voltage collapsed: the setpoint exceeds deliverable power
             return i, residual, it
         i_next = p / v
-        damped = False
-        while True:
-            i_str = abs(i_next) / n_parallel
-            v = ocv if i_str == 0.0 else ocv + n * (
-                (i_str / c10) * (k / (1.0 + i_str**ex) + soc_term + c) * temp
-            )
-            residual = i_next * v - p
-            r_abs = abs(residual)
-            if not r_abs >= prev_abs or damped:
-                break
+        v = voltage(abs(i_next) / n_parallel, c10, law)
+        residual = i_next * v - p
+        r_abs = abs(residual)
+        if r_abs >= prev_abs:
             # overshoot: damp toward the previous iterate, once
             i_next = 0.5 * (i + i_next)
-            damped = True
+            v = voltage(abs(i_next) / n_parallel, c10, law)
+            residual = i_next * v - p
+            r_abs = abs(residual)
         if r_abs <= tol:
             return i_next, residual, it
         prev_abs = r_abs

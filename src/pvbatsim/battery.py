@@ -73,38 +73,30 @@ def bank_capacity(i_bank, params):
     return params.n_parallel * capacity(abs(i_bank) / params.n_parallel, params.delta_t, params)
 
 
+def _string_voltage(soc, i_str, delta_t, params, charging):
+    """One string's terminal voltage [V] at ``i_str`` amps; at zero, only the open-circuit part."""
+    if i_str == 0.0:
+        return _kernels.battery_ocv(soc, params.n_serial, charging)
+    law = _kernels.battery_law(soc, delta_t, params.n_serial, params.discharge_exp, charging)
+    return _kernels.battery_voltage(i_str, params.c_10, law)
+
+
 def discharge_voltage(soc, i_bat, delta_t, params):
     """Terminal voltage of one string discharging at ``i_bat`` amps (magnitude) [V].
 
     Increasing in SOC, decreasing in current, proportional to the series cell
-    count. A loaded evaluation assumes ``soc > SOC_FLOOR``, clear of the
-    ``1/SOC^1.5`` singularity; at zero current only the affine open-circuit
-    part remains, defined for any SOC.
+    count. A loaded evaluation assumes ``soc > SOC_FLOOR``.
     """
-    n_serial = params.n_serial
-    if i_bat == 0.0:
-        return n_serial * (1.965 + 0.12 * soc)
-    sag = (i_bat / params.c_10) * (
-        4.0 / (1.0 + i_bat**params.discharge_exp) + 0.27 / soc**1.5 + 0.02
-    ) * (1.0 - 0.007 * delta_t)
-    return n_serial * (1.965 + 0.12 * soc) - n_serial * sag
+    return _string_voltage(soc, i_bat, delta_t, params, False)
 
 
 def charge_voltage(soc, i_bat, delta_t, params):
     """Terminal voltage of one string charging at ``i_bat`` amps (magnitude) [V].
 
     Increasing in SOC and in current, proportional to the series cell count.
-    A loaded evaluation assumes ``soc < SOC_CEILING``, clear of the
-    ``1/(1-SOC)^1.2`` singularity; at zero current only the affine
-    open-circuit part remains.
+    A loaded evaluation assumes ``soc < SOC_CEILING``.
     """
-    n_serial = params.n_serial
-    if i_bat == 0.0:
-        return n_serial * (2.0 + 0.16 * soc)
-    rise = (i_bat / params.c_10) * (
-        6.0 / (1.0 + i_bat**0.86) + 0.48 / (1.0 - soc) ** 1.2 + 0.036
-    ) * (1.0 - 0.025 * delta_t)
-    return n_serial * (2.0 + 0.16 * soc) + n_serial * rise
+    return _string_voltage(soc, i_bat, delta_t, params, True)
 
 
 def terminal_voltage(state, i_bat, params):
@@ -117,10 +109,9 @@ def terminal_voltage(state, i_bat, params):
     A run passes zero or a current that :func:`current_for_power` solved at
     this SOC.
     """
-    i_str = abs(i_bat) / params.n_parallel
-    if i_bat < 0 or (i_bat == 0 and state.charging):
-        return charge_voltage(state.soc, i_str, params.delta_t, params)
-    return discharge_voltage(state.soc, i_str, params.delta_t, params)
+    charging = i_bat < 0 or (i_bat == 0 and state.charging)
+    return _string_voltage(state.soc, abs(i_bat) / params.n_parallel, params.delta_t, params,
+                           charging)
 
 
 def soc_update(state, i_bat, dt_h, params):
@@ -151,21 +142,16 @@ def soc_update(state, i_bat, dt_h, params):
 def current_for_power(p_bat, state, params):
     """Bank current [A] delivering power ``p_bat`` (positive = discharge).
 
-    Terminal voltage depends on current, so ``i = p / v(i)`` is iterated to
-    ``|p - i*v(i)| <= 1e-9 * max(1, |p|)``. A discharge needs ``soc > SOC_FLOOR``
-    and a charge ``soc < SOC_CEILING`` (the step loop downgrades instead).
-    Raises :class:`ConvergenceError` on a stall or a NaN residual.
+    Terminal voltage depends on current, so ``i = p / v(i)`` is iterated until
+    ``|p - i*v(i)|`` is within :func:`_kernels.battery_tolerance`. A discharge
+    needs ``soc > SOC_FLOOR`` and a charge ``soc < SOC_CEILING`` (the step loop
+    downgrades instead). Raises :class:`ConvergenceError` on a stall or a NaN
+    residual.
     """
     i, residual, _ = _kernels.battery_current_for_power(
-        p_bat,
-        state.soc,
-        params.c_10,
-        params.delta_t,
-        params.n_serial,
-        params.n_parallel,
-        params.discharge_exp,
-    )
-    if not abs(residual) <= 1e-9 * max(1.0, abs(p_bat)):
+        p_bat, state.soc, params.c_10, params.delta_t, params.n_serial, params.n_parallel,
+        params.discharge_exp)
+    if not abs(residual) <= _kernels.battery_tolerance(p_bat):
         raise ConvergenceError(
             f"battery current fixed point stalled at residual {residual:.3e} W"
         )

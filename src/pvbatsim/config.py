@@ -9,8 +9,6 @@ the records built from it carry neither and trust it.
 import copy
 import math
 
-import yaml
-
 from pvbatsim import battery as bat
 from pvbatsim import mppt as mp
 from pvbatsim import pv
@@ -115,6 +113,8 @@ def default_config():
 
 def load_config_file(path):
     """Parse a YAML config file into a plain dict (no validation yet)."""
+    import yaml  # only a run with --config parses YAML
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

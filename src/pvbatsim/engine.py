@@ -26,7 +26,7 @@ from pvbatsim import converter
 from pvbatsim import mppt as mp
 from pvbatsim import pv
 from pvbatsim import supervisor as sup
-from pvbatsim.errors import ConvergenceError, InvariantViolation
+from pvbatsim.errors import ConvergenceError, DomainError, InvariantViolation
 from pvbatsim.profiles import TimeSeriesProfile, cursor
 
 #: Relative tolerance of the per-record power balance and the ledger closure.
@@ -180,8 +180,8 @@ def _loop(config, state, ledger, first, stop):
 
     A charge at or above ``SOC_CEILING`` or a discharge at or below
     ``SOC_FLOOR`` is not solved: the step downgrades to protective mode 4 or
-    5. A solver failure, a NaN solve, a battery solve that overflows or a row
-    off its power balance ends the run with the step index attached.
+    5. A solver failure or a 0 K junction, a NaN solve, an overflowing battery
+    solve or a row off its power balance ends the run with the step index attached.
     """
     panel = config.panel
     battery = config.battery
@@ -215,7 +215,7 @@ def _loop(config, state, ledger, first, stop):
             v_cand = converter.pv_port_voltage(v_bus, d)
             try:
                 i_pv, p_port, pv_clamped = pv.operating_point(v_cand, g, t_amb + 273.15, panel)
-            except ConvergenceError as exc:
+            except (ConvergenceError, DomainError) as exc:
                 raise InvariantViolation(f"step {k} (t={t}): PV solve failed: {exc}") from exc
             if pv_clamped:
                 flags |= FLAG_PV_CLAMP

@@ -36,6 +36,36 @@ def charge_line(soc, i, dt, c10, n):
     ) * (1 - 0.025 * dt)
 
 
+def discharge_expr(soc, i_bat, delta_t, params):
+    """The discharge law as one written-out expression, apart from the kernels' coefficient form."""
+    n_serial = params.n_serial
+    if i_bat == 0.0:
+        return n_serial * (1.965 + 0.12 * soc)
+    sag = (i_bat / params.c_10) * (
+        4.0 / (1.0 + i_bat**params.discharge_exp) + 0.27 / soc**1.5 + 0.02
+    ) * (1.0 - 0.007 * delta_t)
+    return n_serial * (1.965 + 0.12 * soc) - n_serial * sag
+
+
+def charge_expr(soc, i_bat, delta_t, params):
+    """The charge law as one written-out expression, apart from the kernels' coefficient form."""
+    n_serial = params.n_serial
+    if i_bat == 0.0:
+        return n_serial * (2.0 + 0.16 * soc)
+    rise = (i_bat / params.c_10) * (
+        6.0 / (1.0 + i_bat**0.86) + 0.48 / (1.0 - soc) ** 1.2 + 0.036
+    ) * (1.0 - 0.025 * delta_t)
+    return n_serial * (2.0 + 0.16 * soc) + n_serial * rise
+
+
+def outcome(law, *args):
+    """The bits of ``law(*args)``, or the exception type it raises."""
+    try:
+        return law(*args).hex()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
 #: The default bank: c_10 100 Ah, 24 cells in series, one string.
 BANK = build_sim_config().battery
 
@@ -148,6 +178,32 @@ class TestChargeVoltage:
             assert battery.charge_voltage(soc, i, dt, params) == pytest.approx(
                 charge_line(soc, i, dt, params.c_10, params.n_serial), rel=1e-12
             )
+
+
+class TestSingleLaw:
+    """The voltage laws behind the kernels' one statement keep the bits of the written-out ones."""
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=400)
+    @given(soc=st.floats(0.0, 1.0, exclude_min=True),
+           i_bat=st.just(0.0) | st.floats(0.0, 500.0),
+           delta_t=st.floats(-200.0, 40.0, exclude_min=True, exclude_max=True),
+           c10=st.floats(1.0, 1000.0), n_serial=st.sampled_from([1, 6, 24, 48]),
+           discharge_exp=st.sampled_from([1.3, 1.8]))
+    def test_bit_identical_to_written_out_laws(self, soc, i_bat, delta_t, c10, n_serial,
+                                               discharge_exp):
+        params = replace(BANK, c_10=c10, n_serial=n_serial, delta_t=delta_t,
+                         discharge_exp=discharge_exp)
+        args = (soc, i_bat, delta_t, params)
+        assert outcome(battery.discharge_voltage, *args) == outcome(discharge_expr, *args)
+        assert outcome(battery.charge_voltage, *args) == outcome(charge_expr, *args)
+
+    @pytest.mark.parametrize("soc", [0.0, 1.0])
+    @pytest.mark.parametrize("charging", [False, True])
+    def test_open_circuit_at_soc_bounds(self, soc, charging, params):
+        # the SOC terms 0.27/soc^1.5 and 0.48/(1-soc)^1.2 divide by zero here
+        state = battery.BatteryState(soc=soc, charging=charging)
+        expected = (charge_expr if charging else discharge_expr)(soc, 0.0, 0.0, params)
+        assert battery.terminal_voltage(state, 0.0, params).hex() == expected.hex()
 
 
 class TestTerminalVoltage:

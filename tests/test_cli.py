@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, output formats."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -548,6 +549,10 @@ def input_files(tmp_path):
     (tmp_path / "cold.csv").write_text("time_s,temperature_c\n0,25\n60,-300\n",
                                        encoding="utf-8")
     (tmp_path / "hot.csv").write_text("time_s,temperature_c\n0,25\n60,201\n", encoding="utf-8")
+    # the second knot lies just above absolute zero; step 1 interpolates to 0 K exactly
+    (tmp_path / "zero_k.csv").write_text(
+        "time_s,temperature_c\n330.5358996403058,186.2008905575974\n"
+        f"1007.513119579341,{math.nextafter(-273.15, 0.0)!r}\n", encoding="utf-8")
     (tmp_path / "header.csv").write_text("time_s,power_w\n0,100\n", encoding="utf-8")
     (tmp_path / "row.csv").write_text("time_s,load_w\n0,100\nabc,100\n", encoding="utf-8")
     (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbftime_s,load_w\n0,100\n")
@@ -646,6 +651,10 @@ class TestBadInputs:
                      "config error: panel.n_s", id="fractional-n-s"),
         pytest.param(CSV_TEMP % "{tmp}/cold.csv", SIMULATE, 1,
                      "config error: profiles.temperature.csv", id="csv-below-absolute-zero"),
+        pytest.param("simulation: {dt_s: 1007.5131195793409, t_end_s: 3000}\n"
+                     + CSV_TEMP % "{tmp}/zero_k.csv", SIMULATE, 3,
+                     "invariant violation: step 1 (t=1007.5131195793409): PV solve failed: "
+                     "junction temperature must be > 0 K", id="csv-interpolates-to-zero-k"),
         pytest.param("profiles: {synthetic: {t_min_c: -400}}", SIMULATE, 1,
                      "config error: profiles.synthetic.t_min_c", id="synthetic-below-absolute-zero"),
         # the diode solve and the MPP search are checked to converge up to 200 degC

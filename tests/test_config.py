@@ -1,6 +1,9 @@
 """Configuration schema and validation messages."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -149,6 +152,15 @@ class TestYamlLoading:
         path.write_text("", encoding="utf-8")
         config = build_sim_config(load_config_file(str(path)))
         assert config.dt == 1.0
+
+    def test_default_run_does_not_import_yaml(self):
+        # a run on the built-in config parses no YAML, so it does not pay the import
+        code = ("import sys\nfrom pvbatsim import cli\n"
+                "cli.build_sim_config(cli.default_config())\nprint('yaml' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=os.environ.copy())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -168,7 +168,11 @@ def _bank_voltage(p, i, soc):
 
 def reference_battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
                                         discharge_exp, tol_rel=1e-9, max_iter=60):
-    """The fixed point composed from the voltage laws: what the kernel inlines."""
+    """The fixed point composed from ``discharge_voltage`` and ``charge_voltage``.
+
+    The kernel evaluates the same voltage law, so this checks its iteration,
+    damping and stop rule, not a second copy of the law.
+    """
     if p == 0.0:
         return 0.0, 0.0, 0
     tol = tol_rel * max(1.0, abs(p))
@@ -200,7 +204,7 @@ def reference_battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parall
 
 
 class TestBatteryMatchesReference:
-    """The inlined fixed point returns exactly what the composed one does."""
+    """The kernel's iteration, damping and stop rule return exactly what the composed ones do."""
 
     @deterministic
     @given(p=st.floats(-6000.0, 6000.0), soc=st.floats(0.006, 0.994),
