@@ -159,11 +159,9 @@ def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel, discha
     """Solve the bank current delivering power ``p`` (positive = discharge).
 
     The terminal voltage depends on the current, so ``i = p / v(i)`` is
-    iterated as a damped fixed point. Returns ``(i_bank, residual, iterations)``
-    with ``residual = i*v(i) - p``.
+    iterated as a damped fixed point. Returns ``(i_bank, residual, iterations, v)``
+    with ``residual = i*v(i) - p`` and ``v`` the string voltage at ``i_bank``.
     """
-    if p == 0.0:
-        return 0.0, 0.0, 0
     tol = battery_tolerance(p)
     # a NaN setpoint takes the charge branch
     law = battery_law(soc, delta_t, n_serial, discharge_exp, not p > 0.0)
@@ -175,7 +173,7 @@ def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel, discha
     for it in range(1, BATTERY_MAX_ITER + 1):
         if v <= 0.0:
             # voltage collapsed: the setpoint exceeds deliverable power
-            return i, residual, it
+            return i, residual, it, v
         i_next = p / v
         v = voltage(abs(i_next) / n_parallel, c10, law)
         residual = i_next * v - p
@@ -187,7 +185,7 @@ def battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel, discha
             residual = i_next * v - p
             r_abs = abs(residual)
         if r_abs <= tol:
-            return i_next, residual, it
+            return i_next, residual, it, v
         prev_abs = r_abs
         i = i_next
-    return i, residual, BATTERY_MAX_ITER
+    return i, residual, BATTERY_MAX_ITER, v

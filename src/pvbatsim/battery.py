@@ -106,8 +106,7 @@ def terminal_voltage(state, i_bat, params):
     the rest takes the discharge law, each at the per-string magnitude. At
     zero current the two laws give their open-circuit branches, which
     deliberately differ: the gap is the model's charge/discharge hysteresis.
-    A run passes zero or a current that :func:`current_for_power` solved at
-    this SOC.
+    A run passes zero, for the rest voltage, or a current solved at this SOC.
     """
     charging = i_bat < 0 or (i_bat == 0 and state.charging)
     return _string_voltage(state.soc, abs(i_bat) / params.n_parallel, params.delta_t, params,
@@ -140,19 +139,22 @@ def soc_update(state, i_bat, dt_h, params):
 
 
 def current_for_power(p_bat, state, params):
-    """Bank current [A] delivering power ``p_bat`` (positive = discharge).
+    """Bank operating point ``(i, v)`` delivering power ``p_bat`` (positive = discharge).
 
-    Terminal voltage depends on current, so ``i = p / v(i)`` is iterated until
-    ``|p - i*v(i)|`` is within :func:`_kernels.battery_tolerance`. A discharge
-    needs ``soc > SOC_FLOOR`` and a charge ``soc < SOC_CEILING`` (the step loop
-    downgrades instead). Raises :class:`ConvergenceError` on a stall or a NaN
-    residual.
+    ``i = p / v(i)`` is iterated until ``|p - i*v(i)|`` is within
+    :func:`_kernels.battery_tolerance`; ``v`` is the voltage there, or at a zero current
+    (``+0.0``) the rest voltage of :func:`terminal_voltage`. A discharge needs
+    ``soc > SOC_FLOOR`` and a charge ``soc < SOC_CEILING`` (the step loop downgrades
+    instead). Raises :class:`ConvergenceError` on a stall or a NaN residual.
     """
-    i, residual, _ = _kernels.battery_current_for_power(
-        p_bat, state.soc, params.c_10, params.delta_t, params.n_serial, params.n_parallel,
-        params.discharge_exp)
-    if not abs(residual) <= _kernels.battery_tolerance(p_bat):
-        raise ConvergenceError(
-            f"battery current fixed point stalled at residual {residual:.3e} W"
-        )
-    return i
+    if p_bat != 0.0:
+        i, residual, _, v = _kernels.battery_current_for_power(
+            p_bat, state.soc, params.c_10, params.delta_t, params.n_serial, params.n_parallel,
+            params.discharge_exp)
+        if not abs(residual) <= _kernels.battery_tolerance(p_bat):
+            raise ConvergenceError(
+                f"battery current fixed point stalled at residual {residual:.3e} W"
+            )
+        if i != 0.0:
+            return i, v
+    return 0.0, terminal_voltage(state, 0.0, params)

@@ -2,11 +2,11 @@
 
 Each step samples the environment, solves the PV operating point at the
 controller's duty cycle against the (lagged) bus voltage, asks the
-supervisor for a mode, routes power, solves the battery current, updates the
-SOC and, when ``(k + 2) % mppt_every == 0``, lets the MPPT controller act on
-step ``k``'s measured port power and voltage: first after step
-``mppt_every - 2`` (every step if ``mppt_every`` is 1), then every
-``mppt_every`` steps. One row per step; an energy ledger accumulates
+supervisor for a mode, routes power, asks the battery once for its current
+and terminal voltage, updates the SOC and, when ``(k + 2) % mppt_every == 0``,
+lets the MPPT controller act on step ``k``'s measured port power and voltage:
+first after step ``mppt_every - 2`` (every step if ``mppt_every`` is 1), then
+every ``mppt_every`` steps. One row per step; an energy ledger accumulates
 alongside and must close at the end.
 
 Bus model: the DC bus is pinned to the battery terminal voltage whenever a
@@ -224,20 +224,16 @@ def _loop(config, state, ledger, first, stop):
             soc = bat_state.soc
             mode = sup.select_mode(p_avail, p_load, soc, sup_state, supervisor)
             p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
-            i_bat = 0.0
             if (p_bat_set > 0.0 and soc <= soc_floor) or (p_bat_set < 0.0 and soc >= soc_ceiling):
                 mode = sup.MODE4 if p_bat_set < 0.0 else sup.MODE5
                 p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
                 flags |= FLAG_PROTECTIVE
-            elif p_bat_set != 0.0:
-                try:
-                    i_bat = bat.current_for_power(p_bat_set, bat_state, battery)
-                except (ConvergenceError, OverflowError) as exc:
-                    raise InvariantViolation(
-                        f"step {k} (t={t}): battery solve for {p_bat_set:g} W failed: {exc}"
-                    ) from exc
-
-            v_bat = bat.terminal_voltage(bat_state, i_bat, battery)
+            try:
+                i_bat, v_bat = bat.current_for_power(p_bat_set, bat_state, battery)
+            except (ConvergenceError, OverflowError) as exc:
+                raise InvariantViolation(
+                    f"step {k} (t={t}): battery solve for {p_bat_set:g} W failed: {exc}"
+                ) from exc
             p_bat = i_bat * v_bat
             if bat.soc_update(bat_state, i_bat, dt_h, battery):
                 flags |= FLAG_SOC_CLAMP

@@ -41,7 +41,7 @@ def sample(profile, t):
     """Value of ``profile`` at time ``t`` [s], clamped to the end values.
 
     Load holds the previous knot (right-continuous steps); irradiance and
-    temperature are interpolated linearly.
+    temperature are interpolated linearly, never past either knot's value.
     """
     times = profile.times
     if t < times[0] or t > times[-1]:
@@ -53,7 +53,8 @@ def sample(profile, t):
         return profile.values[k]
     t0, t1 = times[k], times[k + 1]
     v0, v1 = profile.values[k], profile.values[k + 1]
-    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    v = v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    return min(max(v, min(v0, v1)), max(v0, v1))
 
 
 def cursor(profile):
@@ -71,10 +72,10 @@ def cursor(profile):
     k = -1
     end = times[0]
     flat = True
-    v0, dv, t0, span = values[0], 0.0, 0.0, 1.0
+    v0, v1, dv, t0, span = values[0], 0.0, 0.0, 0.0, 1.0
 
     def at(t):
-        nonlocal k, end, flat, v0, dv, t0, span
+        nonlocal k, end, flat, v0, v1, dv, t0, span
         if t >= end:
             while k < last and times[k + 1] <= t:
                 k += 1
@@ -83,11 +84,13 @@ def cursor(profile):
                 end, flat = math.inf, True
             else:
                 end, flat = times[k + 1], held
-                dv, t0 = values[k + 1] - v0, times[k]
-                span = end - t0
+                v1, t0 = values[k + 1], times[k]
+                dv, span = v1 - v0, end - t0
         if flat:
             return v0
-        return v0 + dv * (t - t0) / span
+        v = v0 + dv * (t - t0) / span
+        # the rounded sum can step past the far knot v1, never back past v0
+        return v1 if (v > v1 if dv > 0.0 else v < v1) else v
 
     return at
 

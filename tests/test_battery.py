@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from pvbatsim import _kernels, battery
@@ -320,22 +320,24 @@ class TestRegimeOrdering:
 class TestCurrentForPower:
     def test_zero_power(self, params):
         state = battery.state_for_soc(0.8, params)
-        assert battery.current_for_power(0.0, state, params) == 0.0
+        i, v = battery.current_for_power(0.0, state, params)
+        assert i == 0.0
+        assert v.hex() == battery.terminal_voltage(state, 0.0, params).hex()
 
     def test_discharge_fixed_point(self, params):
         state = battery.state_for_soc(0.6, params)
         p = 250.0
-        i = battery.current_for_power(p, state, params)
+        i, v = battery.current_for_power(p, state, params)
         assert i > 0
-        v = battery.terminal_voltage(state, i, params)
+        assert v.hex() == battery.terminal_voltage(state, i, params).hex()
         assert abs(i * v - p) <= 1e-9 * max(1.0, p)
 
     def test_charge_fixed_point(self, params):
         state = battery.state_for_soc(0.6, params)
         p = -300.0
-        i = battery.current_for_power(p, state, params)
+        i, v = battery.current_for_power(p, state, params)
         assert i < 0
-        v = battery.terminal_voltage(state, i, params)
+        assert v.hex() == battery.terminal_voltage(state, i, params).hex()
         assert abs(i * v - p) <= 1e-9 * max(1.0, abs(p))
 
     def test_undeliverable_power_raises(self, params):
@@ -347,7 +349,7 @@ class TestCurrentForPower:
     def test_nan_solve_raises(self, params, monkeypatch):
         # a NaN residual fails the tolerance test instead of passing it
         monkeypatch.setattr(_kernels, "battery_current_for_power",
-                            lambda *args: (math.nan, math.nan, 1))
+                            lambda *args: (math.nan, math.nan, 1, math.nan))
         with pytest.raises(ConvergenceError, match="residual nan W"):
             battery.current_for_power(100.0, battery.state_for_soc(0.6, params), params)
 
@@ -356,7 +358,30 @@ class TestCurrentForPower:
         state = battery.state_for_soc(0.5, params)
         for _ in range(300):
             p = rng.uniform(-2000.0, 2000.0)
-            i = battery.current_for_power(p, state, params)
+            i, v = battery.current_for_power(p, state, params)
+            assert v.hex() == battery.terminal_voltage(state, i, params).hex()
             if p != 0.0:
-                v = battery.terminal_voltage(state, i, params)
                 assert abs(i * v - p) <= 1e-9 * max(1.0, abs(p))
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(soc=st.floats(battery.SOC_FLOOR, battery.SOC_CEILING, exclude_min=True,
+                         exclude_max=True),
+           p=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                       st.floats(-2000.0, 2000.0)),
+           n_parallel=st.integers(1, 3), charging=st.booleans())
+    # underflowed currents whose sign disagrees with the last current's direction
+    @example(soc=0.5, p=-5e-324, n_parallel=1, charging=False)
+    @example(soc=0.5, p=5e-324, n_parallel=2, charging=True)
+    @example(soc=0.5, p=-0.0, n_parallel=1, charging=True)
+    def test_returns_terminal_voltage_at_its_current(self, soc, p, n_parallel, charging):
+        # the solve's voltage is the bank's terminal voltage at the current it
+        # returns, rest voltage included; a zero current is never -0.0
+        params = replace(BANK, n_parallel=n_parallel)
+        state = battery.BatteryState(soc=soc, charging=charging)
+        try:
+            i, v = battery.current_for_power(p, state, params)
+        except ConvergenceError:
+            reject()  # beyond the deliverable power: nothing is returned
+        assert v.hex() == battery.terminal_voltage(state, i, params).hex()
+        if i == 0.0:
+            assert math.copysign(1.0, i) == 1.0

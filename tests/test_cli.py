@@ -549,7 +549,7 @@ def input_files(tmp_path):
     (tmp_path / "cold.csv").write_text("time_s,temperature_c\n0,25\n60,-300\n",
                                        encoding="utf-8")
     (tmp_path / "hot.csv").write_text("time_s,temperature_c\n0,25\n60,201\n", encoding="utf-8")
-    # the second knot lies just above absolute zero; step 1 interpolates to 0 K exactly
+    # the second knot lies one ulp above absolute zero; step 1 reads one ulp before it
     (tmp_path / "zero_k.csv").write_text(
         "time_s,temperature_c\n330.5358996403058,186.2008905575974\n"
         f"1007.513119579341,{math.nextafter(-273.15, 0.0)!r}\n", encoding="utf-8")
@@ -651,10 +651,6 @@ class TestBadInputs:
                      "config error: panel.n_s", id="fractional-n-s"),
         pytest.param(CSV_TEMP % "{tmp}/cold.csv", SIMULATE, 1,
                      "config error: profiles.temperature.csv", id="csv-below-absolute-zero"),
-        pytest.param("simulation: {dt_s: 1007.5131195793409, t_end_s: 3000}\n"
-                     + CSV_TEMP % "{tmp}/zero_k.csv", SIMULATE, 3,
-                     "invariant violation: step 1 (t=1007.5131195793409): PV solve failed: "
-                     "junction temperature must be > 0 K", id="csv-interpolates-to-zero-k"),
         pytest.param("profiles: {synthetic: {t_min_c: -400}}", SIMULATE, 1,
                      "config error: profiles.synthetic.t_min_c", id="synthetic-below-absolute-zero"),
         # the diode solve and the MPP search are checked to converge up to 200 degC
@@ -746,6 +742,16 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert needle.replace("{tmp}", tmp) in err
         assert "Traceback" not in err
+
+    def test_csv_next_to_absolute_zero_runs(self, input_files, capsys):
+        # every read lies between two valid knots, so no junction reaches 0 K
+        tmp = str(input_files)
+        (input_files / "case.yaml").write_text(
+            "simulation: {dt_s: 1007.5131195793409, t_end_s: 3000}\n"
+            + (CSV_TEMP % "{tmp}/zero_k.csv").replace("{tmp}", tmp), encoding="utf-8")
+        assert cli.main([arg.replace("{tmp}", tmp) for arg in SIMULATE]) == 0
+        rows = (input_files / "o.csv").read_text().splitlines()[1:]
+        assert float(rows[1].split(",")[2]) == math.nextafter(-273.15, 0.0)
 
 
 class TestArgumentErrors:

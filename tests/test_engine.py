@@ -486,7 +486,8 @@ def layered_step(config, state, schedule, t, ledger, step_index):
         flags |= engine.FLAG_PROTECTIVE
     try:
         i_bat = (
-            battery.current_for_power(p_bat_set, bat_state, params) if p_bat_set != 0.0 else 0.0
+            battery.current_for_power(p_bat_set, bat_state, params)[0]
+            if p_bat_set != 0.0 else 0.0
         )
     except ConvergenceError as exc:
         raise InvariantViolation(

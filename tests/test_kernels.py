@@ -173,8 +173,6 @@ def reference_battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parall
     The kernel evaluates the same voltage law, so this checks its iteration,
     damping and stop rule, not a second copy of the law.
     """
-    if p == 0.0:
-        return 0.0, 0.0, 0
     tol = tol_rel * max(1.0, abs(p))
     law = battery.discharge_voltage if p > 0.0 else battery.charge_voltage
     bank = _bank(c10, delta_t, n_serial, n_parallel, discharge_exp)
@@ -188,7 +186,7 @@ def reference_battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parall
     prev_abs = abs(residual)
     for it in range(1, max_iter + 1):
         if v <= 0.0:
-            return i, residual, it
+            return i, residual, it, v
         i_next = p / v
         v = voltage(abs(i_next) / n_parallel)
         residual = i_next * v - p
@@ -197,10 +195,10 @@ def reference_battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parall
             v = voltage(abs(i_next) / n_parallel)
             residual = i_next * v - p
         if abs(residual) <= tol:
-            return i_next, residual, it
+            return i_next, residual, it, v
         prev_abs = abs(residual)
         i = i_next
-    return i, residual, max_iter
+    return i, residual, max_iter, v
 
 
 class TestBatteryMatchesReference:
@@ -217,6 +215,8 @@ class TestBatteryMatchesReference:
              discharge_exp=EXP)  # stalls: beyond the deliverable maximum
     @example(p=-5e-324, soc=0.5, c10=C10, delta_t=0.0, n_serial=24, n_parallel=1,
              discharge_exp=EXP)  # the current underflows to zero
+    @example(p=-0.0, soc=0.5, c10=C10, delta_t=0.0, n_serial=24, n_parallel=1,
+             discharge_exp=EXP)  # zero power runs the loop once, at the open-circuit voltage
     def test_bit_identical(self, p, soc, c10, delta_t, n_serial, n_parallel, discharge_exp):
         args = (p, soc, c10, delta_t, n_serial, n_parallel, discharge_exp)
         assert (_pure.battery_current_for_power(*args)
@@ -233,16 +233,17 @@ class TestBatteryFixedPoint:
             for i in (0.1 + k * 59.9 / 119 for k in range(120))
         )
         p = -2000.0 + frac * (0.9 * p_max + 2000.0)
-        i, residual, _ = _pure.battery_current_for_power(
+        i, residual, _, v = _pure.battery_current_for_power(
             p, soc, C10, 0.0, N_SERIAL, N_PARALLEL, EXP
         )
         tol = 1e-9 * max(1.0, abs(p))
         assert abs(residual) <= tol
-        assert abs(i * _bank_voltage(p, i, soc) - p) <= tol
+        assert v.hex() == _bank_voltage(p, i, soc).hex()
+        assert abs(i * v - p) <= tol
 
     def test_infeasible_setpoint_stalls(self):
         # beyond the deliverable maximum the fixed point cannot close
-        _, residual, _ = _pure.battery_current_for_power(
+        _, residual, _, _ = _pure.battery_current_for_power(
             5000.0, 0.15, C10, 0.0, N_SERIAL, N_PARALLEL, EXP
         )
         assert abs(residual) > 1.0

@@ -126,6 +126,33 @@ class TestSample:
         assert profiles.sample(prof, -5.0) == 1.0
         assert profiles.sample(prof, 15.0) == 2.0
 
+    # one ulp before the far knot, v0 + dv * (t - t0) / span rounds past it: up
+    # to 102.33000000000001 W/m2, down to -1.1e-16 W/m2, and down to -273.15 degC
+    # (0 K) from a knot one ulp above it
+    @pytest.mark.parametrize("times,values,quantity", [
+        ((0.0, 100.0), (26.4, 102.33), "irradiance_wm2"),
+        ((76.73701417104525, 764.2437315367456), (0.9632279541757532, 0.0), "irradiance_wm2"),
+        ((330.5358996403058, 1007.513119579341),
+         (186.2008905575974, math.nextafter(-273.15, 0.0)), "temperature_c"),
+    ])
+    def test_interpolation_never_passes_the_far_knot(self, times, values, quantity):
+        prof = profiles.TimeSeriesProfile(times, values, quantity)
+        t = math.nextafter(times[1], 0.0)
+        assert profiles.sample(prof, t).hex() == values[1].hex()
+        assert profiles.cursor(prof)(t).hex() == values[1].hex()
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data(), t0=st.floats(-1e4, 1e4), span=st.floats(1e-3, 1e4),
+           v0=st.floats(-1e3, 1e3), v1=st.floats(-1e3, 1e3),
+           quantity=st.sampled_from(["irradiance_wm2", "temperature_c"]))
+    def test_reads_between_two_knots(self, data, t0, span, v0, v1, quantity):
+        t1 = t0 + span
+        prof = profiles.TimeSeriesProfile((t0, t1), (v0, v1), quantity)
+        # the read one ulp before the far knot is where rounding can step past it
+        t = data.draw(st.floats(t0, t1, exclude_max=True) | st.just(math.nextafter(t1, t0)))
+        for value in (profiles.sample(prof, t), profiles.cursor(prof)(t)):
+            assert min(v0, v1) <= value <= max(v0, v1)
+
 
 @st.composite
 def irregular_profile(draw):

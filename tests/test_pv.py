@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvbatsim import _kernels, profiles, pv
+from pvbatsim import _kernels, pv
 from pvbatsim.config import build_sim_config
 from pvbatsim.errors import ConfigError, ConvergenceError, DomainError
 
@@ -96,15 +96,10 @@ class TestPhotoCurrent:
         assert pv._panel_terms(G_REF, T_REF + 10.0, panel)[0] == pytest.approx(expected)
 
     def test_interpolated_absolute_zero_rejected(self, panel):
-        # a knot one ulp above absolute zero after a warm knot: one step
-        # before it, the interpolated temperature rounds to -273.15 degC
-        cold = math.nextafter(-273.15, 0.0)
-        profile = profiles.TimeSeriesProfile(
-            (330.5358996403058, 1007.513119579341), (186.2008905575974, cold), "temperature_c")
-        t_c = profiles.cursor(profile)(math.nextafter(1007.513119579341, 0.0))
-        assert t_c + 273.15 <= 0.0
+        # -273.15 degC, as interpolating toward a knot one ulp above it rounds
+        # without the profile's clamp, is a 0 K junction
         with pytest.raises(DomainError, match="junction temperature must be > 0 K"):
-            pv.operating_point(10.0, G_REF, t_c + 273.15, panel)
+            pv.operating_point(10.0, G_REF, -273.15 + 273.15, panel)
 
 
 class TestSolveOperatingCurrent:
@@ -311,13 +306,9 @@ class TestBlockingDiodeClamp:
         assert i_pv > 0
 
     def test_interpolated_negative_irradiance_clamps(self, panel):
-        # interpolating 0.963 W/m2 down to 0 reads one rounding below zero a
-        # step before the zero knot: the panel then gives no power
-        profile = profiles.TimeSeriesProfile(
-            (76.73701417104525, 764.2437315367456), (0.9632279541757532, 0.0), "irradiance_wm2")
-        g = profiles.cursor(profile)(764.2437315367455)
-        assert g < 0.0
-        assert pv.operating_point(10.0, g, T_REF, panel) == (0.0, 0.0, True)
+        # an irradiance one rounding below zero, as interpolating down to a zero
+        # knot rounds without the profile's clamp, gives no power
+        assert pv.operating_point(10.0, -1.1102230246251565e-16, T_REF, panel) == (0.0, 0.0, True)
 
 
 class TestResidualCheck:
