@@ -1,9 +1,11 @@
 """Lead-acid battery bank model.
 
-Capacity shrinks with discharge current and grows with temperature; state of
-charge is tracked by coulomb counting; the terminal voltage follows separate
-charge and discharge laws fitted per cell and scaled by the series cell
-count. Sign convention throughout: positive battery current = discharge.
+Each rule is stated once, on the bank and its signed current:
+:func:`bank_capacity` shrinks with the current and grows with temperature;
+:func:`soc_update` counts coulombs against it; :func:`terminal_voltage` is the
+one voltage function, separate charge and discharge laws fitted per cell and
+scaled by the series cell count. Sign convention throughout: positive battery
+current = discharge.
 """
 
 from dataclasses import dataclass
@@ -57,60 +59,35 @@ def state_for_soc(soc, params):
     return BatteryState(soc=soc, q=(1.0 - soc) * cap)
 
 
-def capacity(i_bat, delta_t, params):
-    """Available capacity of one string at discharge current ``i_bat`` [Ah].
+def bank_capacity(i_bank, params):
+    """Bank capacity [Ah] at signed bank current ``i_bank``: each string's at its share.
 
-    Maximal at rest (``capacity_coeff * c_10`` for ``delta_t`` = 0) and
-    strictly decreasing in current. ``i_bat`` is the current magnitude.
+    Maximal at rest (``capacity_coeff * c_10`` per string for ``delta_t`` = 0)
+    and strictly decreasing in the current's magnitude.
     """
     c10 = params.c_10
     i10 = c10 / 10.0
-    return c10 * params.capacity_coeff * (1.0 + 0.005 * delta_t) / (1.0 + 0.67 * (i_bat / i10))
-
-
-def bank_capacity(i_bank, params):
-    """Bank capacity [Ah]: per-string capacity at the per-string share of ``i_bank``."""
-    return params.n_parallel * capacity(abs(i_bank) / params.n_parallel, params.delta_t, params)
-
-
-def _string_voltage(soc, i_str, delta_t, params, charging):
-    """One string's terminal voltage [V] at ``i_str`` amps; at zero, only the open-circuit part."""
-    if i_str == 0.0:
-        return _kernels.battery_ocv(soc, params.n_serial, charging)
-    law = _kernels.battery_law(soc, delta_t, params.n_serial, params.discharge_exp, charging)
-    return _kernels.battery_voltage(i_str, params.c_10, law)
-
-
-def discharge_voltage(soc, i_bat, delta_t, params):
-    """Terminal voltage of one string discharging at ``i_bat`` amps (magnitude) [V].
-
-    Increasing in SOC, decreasing in current, proportional to the series cell
-    count. A loaded evaluation assumes ``soc > SOC_FLOOR``.
-    """
-    return _string_voltage(soc, i_bat, delta_t, params, False)
-
-
-def charge_voltage(soc, i_bat, delta_t, params):
-    """Terminal voltage of one string charging at ``i_bat`` amps (magnitude) [V].
-
-    Increasing in SOC and in current, proportional to the series cell count.
-    A loaded evaluation assumes ``soc < SOC_CEILING``.
-    """
-    return _string_voltage(soc, i_bat, delta_t, params, True)
+    n_parallel = params.n_parallel
+    return n_parallel * (c10 * params.capacity_coeff * (1.0 + 0.005 * params.delta_t)
+                         / (1.0 + 0.67 * ((abs(i_bank) / n_parallel) / i10)))
 
 
 def terminal_voltage(state, i_bat, params):
     """Bank terminal voltage at signed bank current ``i_bat`` [V].
 
     Negative current, or zero current after a charge, takes the charge law;
-    the rest takes the discharge law, each at the per-string magnitude. At
-    zero current the two laws give their open-circuit branches, which
+    the rest takes the discharge law, each at the per-string magnitude. A zero
+    per-string current gives only the open-circuit part, whose two branches
     deliberately differ: the gap is the model's charge/discharge hysteresis.
     A run passes zero, for the rest voltage, or a current solved at this SOC.
     """
     charging = i_bat < 0 or (i_bat == 0 and state.charging)
-    return _string_voltage(state.soc, abs(i_bat) / params.n_parallel, params.delta_t, params,
-                           charging)
+    i_str = abs(i_bat) / params.n_parallel
+    if i_str == 0.0:
+        return _kernels.battery_ocv(state.soc, params.n_serial, charging)
+    law = _kernels.battery_law(state.soc, params.delta_t, params.n_serial, params.discharge_exp,
+                               charging)
+    return _kernels.battery_voltage(i_str, params.c_10, law)
 
 
 def soc_update(state, i_bat, dt_h, params):

@@ -166,11 +166,10 @@ def _cmd_iv_curve(args):
     check_panel_temperatures(config.panel, (args.t,), "which iv-curve --t sets")
     t_j = args.t + 273.15
     with _replaced_when_done(args.out) as (fh,):
-        points = pv.iv_sweep(args.g, t_j, args.points, config.panel)
-        v_mpp, p_mpp = pv.mpp_oracle(args.g, t_j, config.panel)
         fh.write("v,i,p\n")
-        for v, i, p in points:
+        for v, i, p in pv.iv_sweep(args.g, t_j, args.points, config.panel):
             fh.write(f"{v!r},{i!r},{p!r}\n")
+        v_mpp, p_mpp = pv.mpp_oracle(args.g, t_j, config.panel)
         fh.write(f"mpp,{v_mpp!r},{p_mpp!r}\n")
     print(f"iv-curve: {args.points} points, v_mpp={v_mpp:.4f} V, p_mpp={p_mpp:.4f} W")
     return EXIT_OK

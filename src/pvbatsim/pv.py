@@ -141,15 +141,13 @@ def open_circuit_voltage(g, t_j, params):
 
 
 def iv_sweep(g, t_j, n_points, params):
-    """Sweep ``n_points`` (at least 2) array points ``(v, i, p)``, evenly spaced on [0, Voc]."""
+    """Yield ``n_points`` (at least 2) array points ``(v, i, p)``, evenly spaced on [0, Voc]."""
     v_oc = open_circuit_voltage(g, t_j, params)
     step = v_oc / (n_points - 1)
-    points = []
     for k in range(n_points):
         v = k * step
         i = solve_operating_current(v, g, t_j, params)
-        points.append((v, i, v * i))
-    return points
+        yield v, i, v * i
 
 
 _GOLDEN = 0.6180339887498949

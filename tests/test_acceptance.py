@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -93,7 +94,7 @@ def test_criterion_3_mppt_tracking():
 def test_criterion_4_diode_fidelity():
     t0 = time.perf_counter()
     panel = build_sim_config().panel
-    points = pv.iv_sweep(1000.0, 298.15, 1000, panel)
+    points = list(pv.iv_sweep(1000.0, 298.15, 1000, panel))
     vt = panel.thermal_voltage(298.15)
     worst = 0.0
     for v_pv, i_pv, _ in points:
@@ -150,10 +151,14 @@ def test_criterion_5_battery_formula_oracle():
         soc = rng.uniform(0.006, 0.994)
         i = rng.uniform(0.001, 30.0)
         dt = rng.uniform(-10.0, 25.0)
+        # one string at this temperature offset: the bank current is the string's
+        string = replace(params, n_parallel=1, delta_t=dt)
+        discharging = battery.BatteryState(soc=soc, charging=False)
+        charging = battery.BatteryState(soc=soc, charging=True)
         for got, want in (
-            (battery.capacity(i, dt, params), cap_line(i, dt, 100.0)),
-            (battery.discharge_voltage(soc, i, dt, params), dis_line(soc, i, dt, 100.0, 24)),
-            (battery.charge_voltage(soc, i, dt, params), chg_line(soc, i, dt, 100.0, 24)),
+            (battery.bank_capacity(i, string), cap_line(i, dt, 100.0)),
+            (battery.terminal_voltage(discharging, i, string), dis_line(soc, i, dt, 100.0, 24)),
+            (battery.terminal_voltage(charging, -i, string), chg_line(soc, i, dt, 100.0, 24)),
         ):
             rel = abs(got - want) / abs(want)
             worst = max(worst, rel)

@@ -70,6 +70,23 @@ def outcome(law, *args):
 BANK = build_sim_config().battery
 
 
+def string_capacity(i, delta_t, params):
+    """One string's capacity at current ``i`` [Ah]: ``bank_capacity`` of a one-string bank."""
+    return battery.bank_capacity(i, replace(params, n_parallel=1, delta_t=delta_t))
+
+
+def v_discharge(soc, i_bat, delta_t, params):
+    """One string discharging at ``i_bat`` amps [V]: ``terminal_voltage`` of a one-string bank."""
+    string = replace(params, n_parallel=1, delta_t=delta_t)
+    return battery.terminal_voltage(battery.BatteryState(soc=soc), i_bat, string)
+
+
+def v_charge(soc, i_bat, delta_t, params):
+    """One string charging at ``i_bat`` amps (magnitude) [V]; at zero, the charge branch."""
+    string = replace(params, n_parallel=1, delta_t=delta_t)
+    return battery.terminal_voltage(battery.BatteryState(soc=soc, charging=True), -i_bat, string)
+
+
 @pytest.fixture
 def params():
     return BANK
@@ -84,53 +101,63 @@ class TestCapacity:
     def test_at_ten_hour_rate(self, params):
         # direct evaluation: both correction factors explicit
         expected = 100.0 * 1.76 / 1.67
-        assert battery.capacity(params.c_10 / 10, 0.0, params) == pytest.approx(
+        assert string_capacity(params.c_10 / 10, 0.0, params) == pytest.approx(
             expected, rel=1e-12
         )
         assert expected == pytest.approx(105.38922155688623, rel=1e-12)
 
     def test_at_rest(self, params):
-        assert battery.capacity(0.0, 0.0, params) == pytest.approx(176.0, rel=1e-12)
+        assert string_capacity(0.0, 0.0, params) == pytest.approx(176.0, rel=1e-12)
 
     def test_decreasing_in_current(self, params):
-        assert battery.capacity(2 * params.c_10 / 10, 0.0, params) < battery.capacity(
+        assert string_capacity(2 * params.c_10 / 10, 0.0, params) < string_capacity(
             params.c_10 / 10, 0.0, params
         )
 
     def test_increasing_in_temperature(self, params):
-        assert battery.capacity(5.0, 10.0, params) > battery.capacity(5.0, 0.0, params)
+        assert string_capacity(5.0, 10.0, params) > string_capacity(5.0, 0.0, params)
 
     def test_matches_oracle_over_domain(self, params):
         rng = np.random.RandomState(42)
         for _ in range(200):
             i = rng.uniform(0.0, 3 * params.c_10 / 10)
             dt = rng.uniform(-10.0, 25.0)
-            assert battery.capacity(i, dt, params) == pytest.approx(
+            assert string_capacity(i, dt, params) == pytest.approx(
                 capacity_line(i, dt, params.c_10), rel=1e-12
             )
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(i_bank=st.sampled_from([0.0, -0.0]) | st.floats(-500.0, 500.0),
+           delta_t=st.floats(-200.0, 40.0, exclude_min=True, exclude_max=True),
+           c10=st.floats(1.0, 1000.0), n_parallel=st.integers(1, 4))
+    def test_bank_is_strings_times_string_line(self, i_bank, delta_t, c10, n_parallel):
+        # each string holds the written-out capacity at its share of the bank current
+        params = replace(BANK, c_10=c10, n_parallel=n_parallel, delta_t=delta_t)
+        line = capacity_line(abs(i_bank) / n_parallel, delta_t, c10, params.capacity_coeff)
+        assert battery.bank_capacity(i_bank, params).hex() == (n_parallel * line).hex()
 
 
 class TestDischargeVoltage:
     def test_open_circuit_full_cell(self, cell):
         # current term vanishes, leaving the affine SOC law
-        assert battery.discharge_voltage(1.0, 0.0, 0.0, cell) == pytest.approx(
+        assert v_discharge(1.0, 0.0, 0.0, cell) == pytest.approx(
             2.085, rel=1e-12
         )
 
     def test_linear_in_series_count(self, cell):
-        v1 = battery.discharge_voltage(0.7, 5.0, 0.0, cell)
+        v1 = v_discharge(0.7, 5.0, 0.0, cell)
         params12 = replace(BANK, n_serial=12)
-        assert battery.discharge_voltage(0.7, 5.0, 0.0, params12) == pytest.approx(
+        assert v_discharge(0.7, 5.0, 0.0, params12) == pytest.approx(
             12.0 * v1, rel=1e-12
         )
 
     def test_increasing_in_soc(self, params):
-        v_low = battery.discharge_voltage(0.9, 5.0, 0.0, params)
-        v_high = battery.discharge_voltage(1.0, 5.0, 0.0, params)
+        v_low = v_discharge(0.9, 5.0, 0.0, params)
+        v_high = v_discharge(1.0, 5.0, 0.0, params)
         assert v_low < v_high
 
     def test_decreasing_in_current(self, params):
-        assert battery.discharge_voltage(0.8, 10.0, 0.0, params) < battery.discharge_voltage(
+        assert v_discharge(0.8, 10.0, 0.0, params) < v_discharge(
             0.8, 1.0, 0.0, params
         )
 
@@ -140,32 +167,32 @@ class TestDischargeVoltage:
             soc = rng.uniform(0.01, 1.0)
             i = rng.uniform(0.0, 30.0)
             dt = rng.uniform(-10.0, 25.0)
-            assert battery.discharge_voltage(soc, i, dt, params) == pytest.approx(
+            assert v_discharge(soc, i, dt, params) == pytest.approx(
                 discharge_line(soc, i, dt, params.c_10, params.n_serial), rel=1e-12
             )
 
     def test_configurable_exponent(self):
         params18 = replace(BANK, n_serial=1, discharge_exp=1.8)
-        assert battery.discharge_voltage(0.8, 5.0, 0.0, params18) == pytest.approx(
+        assert v_discharge(0.8, 5.0, 0.0, params18) == pytest.approx(
             discharge_line(0.8, 5.0, 0.0, 100.0, 1, exp=1.8), rel=1e-12
         )
 
 
 class TestChargeVoltage:
     def test_open_circuit_half_cell(self, cell):
-        assert battery.charge_voltage(0.5, 0.0, 0.0, cell) == pytest.approx(
+        assert v_charge(0.5, 0.0, 0.0, cell) == pytest.approx(
             2.08, rel=1e-12
         )
 
     def test_linear_in_series_count(self):
         p12 = replace(BANK, n_serial=12)
         p24 = BANK
-        v12 = battery.charge_voltage(0.5, 5.0, 0.0, p12)
-        v24 = battery.charge_voltage(0.5, 5.0, 0.0, p24)
+        v12 = v_charge(0.5, 5.0, 0.0, p12)
+        v24 = v_charge(0.5, 5.0, 0.0, p24)
         assert v24 == pytest.approx(2.0 * v12, rel=1e-12)
 
     def test_increasing_in_current(self, params):
-        assert battery.charge_voltage(0.5, 5.0, 0.0, params) > battery.charge_voltage(
+        assert v_charge(0.5, 5.0, 0.0, params) > v_charge(
             0.5, 0.0, 0.0, params
         )
 
@@ -175,7 +202,7 @@ class TestChargeVoltage:
             soc = rng.uniform(0.0, 0.99)
             i = rng.uniform(0.0, 30.0)
             dt = rng.uniform(-10.0, 25.0)
-            assert battery.charge_voltage(soc, i, dt, params) == pytest.approx(
+            assert v_charge(soc, i, dt, params) == pytest.approx(
                 charge_line(soc, i, dt, params.c_10, params.n_serial), rel=1e-12
             )
 
@@ -194,8 +221,8 @@ class TestSingleLaw:
         params = replace(BANK, c_10=c10, n_serial=n_serial, delta_t=delta_t,
                          discharge_exp=discharge_exp)
         args = (soc, i_bat, delta_t, params)
-        assert outcome(battery.discharge_voltage, *args) == outcome(discharge_expr, *args)
-        assert outcome(battery.charge_voltage, *args) == outcome(charge_expr, *args)
+        assert outcome(v_discharge, *args) == outcome(discharge_expr, *args)
+        assert outcome(v_charge, *args) == outcome(charge_expr, *args)
 
     @pytest.mark.parametrize("soc", [0.0, 1.0])
     @pytest.mark.parametrize("charging", [False, True])
@@ -243,12 +270,12 @@ class TestTerminalVoltage:
             # reference: zero current picks the last regime's open-circuit branch itself
             dt, i_str = params.delta_t, abs(i_bat) / params.n_parallel
             if i_bat > 0:
-                return battery.discharge_voltage(state.soc, i_str, dt, params)
+                return discharge_expr(state.soc, i_str, dt, params)
             if i_bat < 0:
-                return battery.charge_voltage(state.soc, i_str, dt, params)
+                return charge_expr(state.soc, i_str, dt, params)
             if state.charging:
-                return battery.charge_voltage(state.soc, 0.0, dt, params)
-            return battery.discharge_voltage(state.soc, 0.0, dt, params)
+                return charge_expr(state.soc, 0.0, dt, params)
+            return discharge_expr(state.soc, 0.0, dt, params)
 
         assert battery.terminal_voltage(state, i_bat, params).hex() == four_way().hex()
 
@@ -312,7 +339,7 @@ class TestRegimeOrdering:
         for _ in range(100):
             soc = rng.uniform(0.11, 0.89)
             i = rng.uniform(0.1, 20.0)
-            assert battery.charge_voltage(soc, i, 0.0, params) > battery.discharge_voltage(
+            assert v_charge(soc, i, 0.0, params) > v_discharge(
                 soc, i, 0.0, params
             )
 

@@ -154,6 +154,24 @@ class TestIvCurve:
         cli.main(["iv-curve", "--points", "5", "--out", str(out)])
         assert out.read_text().endswith("\n")
 
+    def test_peak_memory_does_not_grow_with_points(self, tmp_path, capsys):
+        out = str(tmp_path / "curve.csv")
+
+        def sweep(points):
+            assert cli.main(["iv-curve", "--points", str(points), "--out", out]) == 0
+
+        sweep(2000)  # imports and first-call caches, untraced
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for points in (2000, 20000):
+                tracemalloc.reset_peak()
+                sweep(points)
+                peaks[points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[20000] <= peaks[2000] + 0.2e6, peaks
+
     @pytest.mark.parametrize("flags,digest", [
         ([], "3c1e261b4b9f7259b21397cf27c35d110b5e60d979001f2b7a6ddd1cd8e7930a"),
         (["--g", "300", "--t", "-10", "--points", "500"],

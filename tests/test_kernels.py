@@ -159,26 +159,33 @@ class TestVocMatchesReference:
         assert _pure.open_circuit_voltage(*args) == reference_open_circuit_voltage(*args)
 
 
+def _v_string(soc, i_str, charging, string):
+    """``battery.terminal_voltage`` of the one-string bank ``string`` at ``i_str`` amps.
+
+    ``charging`` picks the branch: it signs the current and, at zero, picks the
+    open-circuit branch.
+    """
+    state = battery.BatteryState(soc=soc, charging=charging)
+    return battery.terminal_voltage(state, -i_str if charging else i_str, string)
+
+
 def _bank_voltage(p, i, soc):
-    i_str = abs(i) / N_PARALLEL
-    if p > 0.0:
-        return battery.discharge_voltage(soc, i_str, 0.0, BANK)
-    return battery.charge_voltage(soc, i_str, 0.0, BANK)
+    return _v_string(soc, abs(i) / N_PARALLEL, not p > 0.0, BANK)
 
 
 def reference_battery_current_for_power(p, soc, c10, delta_t, n_serial, n_parallel,
                                         discharge_exp, tol_rel=1e-9, max_iter=60):
-    """The fixed point composed from ``discharge_voltage`` and ``charge_voltage``.
+    """The fixed point composed from ``battery.terminal_voltage`` of one string.
 
     The kernel evaluates the same voltage law, so this checks its iteration,
     damping and stop rule, not a second copy of the law.
     """
     tol = tol_rel * max(1.0, abs(p))
-    law = battery.discharge_voltage if p > 0.0 else battery.charge_voltage
-    bank = _bank(c10, delta_t, n_serial, n_parallel, discharge_exp)
+    charging = not p > 0.0
+    string = _bank(c10, delta_t, n_serial, 1, discharge_exp)
 
     def voltage(i_str):
-        return law(soc, i_str, delta_t, bank)
+        return _v_string(soc, i_str, charging, string)
 
     i = 0.0
     v = voltage(0.0)
@@ -229,7 +236,7 @@ class TestBatteryFixedPoint:
     def test_meets_tolerance_inside_envelope(self, soc, frac):
         # deliverable discharge maximum over a 0.1..60 A current grid
         p_max = max(
-            i * battery.discharge_voltage(soc, i, 0.0, BANK)
+            i * _v_string(soc, i, False, BANK)
             for i in (0.1 + k * 59.9 / 119 for k in range(120))
         )
         p = -2000.0 + frac * (0.9 * p_max + 2000.0)

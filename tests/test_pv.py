@@ -145,7 +145,7 @@ class TestSolveOperatingCurrent:
 
 class TestIvSweep:
     def test_two_points_are_the_endpoints(self, panel):
-        points = pv.iv_sweep(G_REF, T_REF, 2, panel)
+        points = list(pv.iv_sweep(G_REF, T_REF, 2, panel))
         assert len(points) == 2
         (v_0, i_0, _), (v_1, i_1, _) = points
         assert v_0 == 0.0
