@@ -42,53 +42,34 @@ def solve_diode_current(v, i_ph, i_0, r_s, r_sh, vt):
         lo = lo * 10.0 - 1.0
         extend += 1
 
-    # Each loop writes diode_residual out once, with the same operations in
-    # the same order, and keeps its exp() for the Newton derivative.
+    # The loop writes diode_residual out once, with the same operations in the
+    # same order, and keeps its exp() for the Newton derivative.
     exp = math.exp
     cap = _EXP_CAP
     tol = DIODE_TOL
-    max_iter = DIODE_MAX_ITER
+    rs_vt = r_s / vt
+    rs_rsh = r_s / r_sh
     i = 0.5 * (lo + hi)
-    # Bisection while the bracket is wider than 1e-3 A. The bracket only
-    # shrinks, so once it is that narrow every later iteration is Newton.
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, DIODE_MAX_ITER + 1):
         x = v + r_s * i
         arg = x / vt
         e = exp(cap if arg > cap else arg)
         f = i_ph - i_0 * (e - 1.0) - x / r_sh - i
         if -tol <= f <= tol:
             return i, f, iters
-        if not hi - lo > 1e-3:
-            break
+        # bisect while the bracket is wider than 1e-3 A, then Newton
+        bisect = hi - lo > 1e-3
         # the residual is strictly decreasing in i
         if f > 0.0:
             lo = i
         else:
             hi = i
-        i = 0.5 * (lo + hi)
-    else:
-        return i, diode_residual(i, v, i_ph, i_0, r_s, r_sh, vt), max_iter
-    # Newton, kept inside the bracket; this iteration is already counted.
-    rs_vt = r_s / vt
-    rs_rsh = r_s / r_sh
-    while True:
-        if f > 0.0:
-            lo = i
-        else:
-            hi = i
-        i_new = i - f / (-i_0 * e * rs_vt - rs_rsh - 1.0)
-        if i_new <= lo or i_new >= hi:
-            i_new = 0.5 * (lo + hi)
-        i = i_new
-        x = v + r_s * i
-        arg = x / vt
-        e = exp(cap if arg > cap else arg)
-        f = i_ph - i_0 * (e - 1.0) - x / r_sh - i
-        if iters >= max_iter:
-            return i, f, iters
-        iters += 1
-        if -tol <= f <= tol:
-            return i, f, iters
+        if not bisect:
+            i -= f / (-i_0 * e * rs_vt - rs_rsh - 1.0)
+        # a bisection pass left i on the bracket; a Newton step may leave it
+        if i <= lo or i >= hi:
+            i = 0.5 * (lo + hi)
+    return i, diode_residual(i, v, i_ph, i_0, r_s, r_sh, vt), DIODE_MAX_ITER
 
 
 def open_circuit_voltage(i_ph, i_0, r_sh, vt):

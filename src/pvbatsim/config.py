@@ -299,9 +299,9 @@ def build_sim_config(data=None, mppt_override=None):
     if not math.isfinite(sim["t_end"] / sim["dt"]):
         raise ConfigError(f"simulation.dt_s ({sim['dt']:g}) is too small: "
                           "simulation.t_end_s / dt_s must be a finite step count")
-    sim["mppt_kind"] = mppt_override or sim["mppt_kind"]
     if sim["mppt_kind"] not in ("po", "flc"):
         raise ConfigError(f"simulation.mppt must be 'po' or 'flc', got {sim['mppt_kind']!r}")
+    sim["mppt_kind"] = mppt_override or sim["mppt_kind"]
 
     panel = pv.PvPanelParams(**_checked("panel", data.get("panel", {})))
     battery = bat.BatteryParams(**_checked("battery", data.get("battery", {})))

@@ -18,7 +18,7 @@ converter loss in e_loss, so the closure identity holds for any efficiency.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from pvbatsim import battery as bat
@@ -190,7 +190,7 @@ def _loop(config, state, ledger, first, stop):
     eta = config.eta
     v_bus_nominal = config.v_bus_nominal
     dt, dt_h = config.dt, config.dt / 3600.0
-    po = config.mppt_kind == "po"
+    mppt_step = mp.po_step if config.mppt_kind == "po" else mp.flc_step
     g_at = cursor(config.irradiance)
     t_amb_at = cursor(config.temperature)
     p_load_at = cursor(config.load)
@@ -267,10 +267,7 @@ def _loop(config, state, ledger, first, stop):
                 )
 
             if (k + 2) % mppt_every == 0:
-                if po:
-                    mp.po_step(p_port, v_cand, mppt_state)
-                else:
-                    mp.flc_step(p_port, v_cand, mppt_state, fuzzy)
+                mppt_step(p_port, v_cand, mppt_state, fuzzy)
 
             yield (
                 t, g, t_amb, p_pv_used, p_load, p_served, p_bat, bat_state.soc, v_bat,
@@ -295,7 +292,7 @@ def run(config):
 
 
 #: One CSV row, controller column excluded: floats by ``repr``, ints by ``str``.
-_ROW_FORMAT = "%r,%r,%r,%r,%r,%r,%r,%r,%r,%r,%r,%r,%s,%s,%s,%s,%r,%s,"
+_ROW_FORMAT = "".join("%s," if t is int else "%r," for t in SimRecord.__annotations__.values())
 
 
 def _row_format(controller):
@@ -316,11 +313,7 @@ def write_records_csv(rows, controller, fh):
 
 def ledger_to_text(ledger):
     lines = ["quantity,value"]
-    for name in (
-        "e_pv", "e_load_served", "e_load_unserved", "e_bat_in",
-        "e_bat_out", "e_curtailed", "e_loss",
-    ):
-        lines.append(f"{name}_wh,{getattr(ledger, name)!r}")
+    lines += [f"{f.name}_wh,{getattr(ledger, f.name)!r}" for f in fields(ledger)]
     lines.append(f"closure_residual_wh,{ledger.residual()!r}")
     lines.append(f"closure_relative,{ledger.relative_residual()!r}")
     return "\n".join(lines) + "\n"
@@ -340,7 +333,7 @@ def run_tracking(kind, panel, g, t_c, n_steps, v_bus, state, fuzzy, eta):
     ``pv.operating_point`` is pure, so the samples are the ones a solve at
     every step would give.
     """
-    po = kind == "po"
+    mppt_step = mp.po_step if kind == "po" else mp.flc_step
     t_j = t_c + 273.15
     out = []
     powers = {}  # port voltage -> p_pv
@@ -351,10 +344,7 @@ def run_tracking(kind, panel, g, t_c, n_steps, v_bus, state, fuzzy, eta):
         if p is None:
             p = powers[v] = pv.operating_point(v, g, t_j, panel)[1]
         out.append((d, v, eta * p))
-        if po:
-            mp.po_step(p, v, state)
-        else:
-            mp.flc_step(p, v, state, fuzzy)
+        mppt_step(p, v, state, fuzzy)
     return out
 
 

@@ -69,11 +69,12 @@ class FuzzyConfig:
         object.__setattr__(self, "out_centers", (dd, dd / 2, 0.0, -dd / 2, -dd))
 
 
-def po_step(p_now, v_now, state):
+def po_step(p_now, v_now, state, config):
     """One perturb & observe decision; updates ``state`` in place and returns it.
 
     Power rose since the last sample: keep perturbing the same way. Power
     fell: reverse. Unchanged power leaves the duty and direction alone.
+    ``config`` is not read: it gives P&O the signature of :func:`flc_step`.
     """
     dp = p_now - state.p_prev
     state.p_prev = p_now

@@ -77,7 +77,7 @@ class PvPanelParams:
 
 
 def _panel_terms(g, t_j, params):
-    """Photocurrent, saturation current and thermal voltage of one panel.
+    """Photocurrent, saturation current, thermal voltage and diode residual tolerance of one panel.
 
     Every PV solve starts here, so this is where ``t_j > 0`` is checked:
     interpolation can reach 0 K next to a knot just above absolute zero.
@@ -85,15 +85,17 @@ def _panel_terms(g, t_j, params):
     if t_j <= 0:
         raise DomainError(f"junction temperature must be > 0 K, got {t_j}")
     i_ph = params.i_ph_ref * (g / params.g_ref) * (1.0 + params.k_i * (t_j - params.t_ref))
-    return i_ph, params.saturation_current(t_j), params.thermal_voltage(t_j)
+    tol = 1e-12 * i_ph  # a conditional, not max(): the same value, NaN included
+    return (i_ph, params.saturation_current(t_j), params.thermal_voltage(t_j),
+            tol if tol > RESIDUAL_TOL else RESIDUAL_TOL)
 
 
-def _array_current(v_panel, i_ph, i_0, vt, params):
+def _array_current(v_panel, i_ph, i_0, vt, tol, params):
     """Solve one panel at ``v_panel`` and scale to the array; checks the residual (NaN fails)."""
     i_panel, residual, iters = _kernels.solve_diode_current(
         v_panel, i_ph, i_0, params.r_s, params.r_sh, vt
     )
-    if not abs(residual) <= max(RESIDUAL_TOL, 1e-12 * i_ph):
+    if not abs(residual) <= tol:
         raise ConvergenceError(
             f"diode solve stalled at residual {residual:.3e} A after {iters} iterations"
         )
@@ -108,8 +110,8 @@ def solve_operating_current(v_pv, g, t_j, params):
     :class:`ConvergenceError` if the solver cannot reach that tolerance.
     ``v_pv`` is non-negative.
     """
-    i_ph, i_0, vt = _panel_terms(g, t_j, params)
-    return _array_current(v_pv / params.n_panels_series, i_ph, i_0, vt, params)
+    i_ph, i_0, vt, tol = _panel_terms(g, t_j, params)
+    return _array_current(v_pv / params.n_panels_series, i_ph, i_0, vt, tol, params)
 
 
 def operating_point(v_pv, g, t_j, params):
@@ -122,12 +124,12 @@ def operating_point(v_pv, g, t_j, params):
     residual falls strictly with current, so below the solve's negated
     tolerance every root it could accept is negative and would be clamped.
     """
-    i_ph, i_0, vt = _panel_terms(g, t_j, params)
+    i_ph, i_0, vt, tol = _panel_terms(g, t_j, params)
     v_panel = v_pv / params.n_panels_series
     f0 = _kernels.diode_residual(0.0, v_panel, i_ph, i_0, params.r_s, params.r_sh, vt)
-    if f0 < -max(RESIDUAL_TOL, 1e-12 * i_ph):
+    if f0 < -tol:
         return 0.0, v_pv * 0.0, True
-    i_pv = _array_current(v_panel, i_ph, i_0, vt, params)
+    i_pv = _array_current(v_panel, i_ph, i_0, vt, tol, params)
     if i_pv < 0.0:
         return 0.0, v_pv * 0.0, True
     return i_pv, v_pv * i_pv, False
@@ -135,7 +137,7 @@ def operating_point(v_pv, g, t_j, params):
 
 def open_circuit_voltage(g, t_j, params):
     """Array open-circuit voltage at the given conditions [V]."""
-    i_ph, i_0, vt = _panel_terms(g, t_j, params)
+    i_ph, i_0, vt, _ = _panel_terms(g, t_j, params)
     v_panel = _kernels.open_circuit_voltage(i_ph, i_0, params.r_sh, vt)
     return v_panel * params.n_panels_series
 

@@ -751,6 +751,10 @@ class TestBadInputs:
                      "config error: mppt.t_mppt_s", id="tracking-step-count-infinite"),
         pytest.param("simulation: {dt_s: 1.0e-10, t_end_s: 60}\nmppt: {t_mppt_s: 1.0e+300}",
                      SIMULATE, 1, "config error: mppt.t_mppt_s", id="mppt-period-infinite"),
+        # --mppt replaces the configured controller, which is still checked
+        pytest.param("simulation: {mppt: 42, t_end_s: 5}", SIMULATE + ["--mppt", "po"], 1,
+                     "config error: simulation.mppt must be 'po' or 'flc', got 42",
+                     id="bad-mppt-under-override"),
     ])
     def test_exit_code_and_name(self, yaml_text, argv, code, needle, input_files, capsys):
         tmp = str(input_files)

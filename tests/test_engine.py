@@ -339,7 +339,7 @@ def uncached_tracking(kind, panel, g_seq, t_seq, v_bus, d0=DEFAULTS.d0,
         _, p_pv, _ = pv.operating_point(v, g, t_c + 273.15, panel)
         out.append((state.d, v, eta * p_pv))
         if kind == "po":
-            mppt.po_step(p_pv, v, state)
+            mppt.po_step(p_pv, v, state, fuzzy)
         else:
             mppt.flc_step(p_pv, v, state, fuzzy)
     return out
@@ -452,7 +452,7 @@ def layered_step(config, state, schedule, t, ledger, step_index):
     schedule.steps_since_mppt += 1
     if schedule.have_meas and schedule.steps_since_mppt >= config.mppt_every:
         if config.mppt_kind == "po":
-            mppt.po_step(schedule.p_meas, schedule.v_meas, mppt_state)
+            mppt.po_step(schedule.p_meas, schedule.v_meas, mppt_state, config.fuzzy)
         else:
             mppt.flc_step(schedule.p_meas, schedule.v_meas, mppt_state, config.fuzzy)
         schedule.steps_since_mppt = 0

@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +114,21 @@ class TestDiodeMatchesReference:
     def test_bit_identical(self, v, g_scale, r_s, r_sh, vt, i_0):
         args = (v, I_PH * g_scale, i_0, r_s, r_sh, vt)
         assert _pure.solve_diode_current(*args) == reference_solve_diode_current(*args)
+
+
+class TestDiodeBudgetExit:
+    """A solve that runs out of iterations returns what the reference does at that budget."""
+
+    @deterministic
+    @given(n=st.integers(1, 25), v=st.floats(-5.0, 60.0), g_scale=st.floats(0.0, 1.2),
+           r_s=st.floats(0.01, 0.5), r_sh=st.floats(20.0, 2000.0),
+           vt=st.floats(0.6, 2.5), i_0=st.floats(1e-10, 1e-6))
+    def test_matches_reference(self, n, v, g_scale, r_s, r_sh, vt, i_0):
+        args = (v, I_PH * g_scale, i_0, r_s, r_sh, vt)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_pure, "DIODE_MAX_ITER", n)
+            got = _pure.solve_diode_current(*args)
+        assert got == reference_solve_diode_current(*args, max_iter=n)
 
 
 def reference_open_circuit_voltage(i_ph, i_0, r_sh, vt, tol=1e-12, max_iter=200):

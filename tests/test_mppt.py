@@ -247,28 +247,30 @@ class TestFlcStepMatchesStages:
 
 
 class TestPoStep:
+    """P&O reads no config: each call passes None."""
+
     def test_zero_delta_p_holds(self):
         state = start_state(p_prev=100.0, v_prev=40.0, d=0.3, direction=1)
-        new = mppt.po_step(100.0, 41.0, state)
+        new = mppt.po_step(100.0, 41.0, state, None)
         assert new.d == 0.3
         assert new.direction == 1
         assert new.p_prev == 100.0 and new.v_prev == 41.0
 
     def test_rising_power_keeps_direction(self):
         state = start_state(p_prev=100.0, v_prev=40.0, d=0.3, direction=1)
-        new = mppt.po_step(101.0, 40.2, state)
+        new = mppt.po_step(101.0, 40.2, state, None)
         assert new.direction == 1
         assert new.d == pytest.approx(0.3 + state.delta_d)
 
     def test_falling_power_reverses(self):
         state = start_state(p_prev=100.0, v_prev=40.0, d=0.3, direction=1)
-        new = mppt.po_step(99.0, 40.2, state)
+        new = mppt.po_step(99.0, 40.2, state, None)
         assert new.direction == -1
         assert new.d == pytest.approx(0.3 - state.delta_d)
 
     def test_duty_clamped(self):
         state = start_state(p_prev=0.0, v_prev=0.0, d=0.0, direction=-1)
-        new = mppt.po_step(1.0, 1.0, state)  # dp > 0 keeps direction -1
+        new = mppt.po_step(1.0, 1.0, state, None)  # dp > 0 keeps direction -1
         assert new.d == 0.0
 
 
@@ -344,7 +346,7 @@ class TestTracking:
         for _ in range(1000):
             p = rng.uniform(0.0, 400.0)
             v = rng.uniform(0.0, 50.0)
-            po = mppt.po_step(p, v, po)
+            po = mppt.po_step(p, v, po, config)
             flc = mppt.flc_step(p, v, flc, config)
             assert 0.0 <= po.d <= po.d_max
             assert 0.0 <= flc.d <= flc.d_max
