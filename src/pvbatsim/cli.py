@@ -3,11 +3,13 @@
 Subcommands: ``simulate`` (full run to CSV + ledger), ``iv-curve`` (array
 characteristic dump), ``mppt-compare`` (paired controller bench) and
 ``modes-check`` (switch-table self check). Exit codes are a stable contract:
-0 success, 1 config/flag error, 2 I/O error, 3 invariant violation.
+0 success, 1 config/flag error, 2 I/O error, 3 invariant violation. A command
+raises on failure and returns nothing; :func:`main` alone picks the code.
 """
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import itertools
 import marshal
@@ -44,11 +46,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _load_config(path, mppt_override=None):
+def _load_config(path):
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
-    data = load_config_file(path) if path else default_config()
-    return build_sim_config(data, mppt_override=mppt_override)
+    return build_sim_config(load_config_file(path) if path else default_config())
 
 
 @contextlib.contextmanager
@@ -129,7 +130,9 @@ def _write_csv_in_child(rows, controller, fh):
 
 
 def _cmd_simulate(args):
-    config = _load_config(args.config, mppt_override=args.mppt)
+    config = _load_config(args.config)
+    if args.mppt:
+        config = dataclasses.replace(config, mppt_kind=args.mppt)
     ledger = engine.EnergyLedger()
     with _replaced_when_done(args.out, args.out + ".ledger") as (rows, totals):
         _write_csv_in_child(engine.steps(config, ledger), config.mppt_kind, rows)
@@ -142,26 +145,17 @@ def _cmd_simulate(args):
         f"({'ok' if closed else 'FAILED'})"
     )
     if not closed:
-        print(
-            f"simulate: ledger closure {ledger.relative_residual():.3e} exceeds "
-            f"{engine.BALANCE_TOL:.1e}",
-            file=sys.stderr,
-        )
-        return EXIT_INVARIANT
-    return EXIT_OK
+        raise InvariantViolation(f"simulate: ledger closure {ledger.relative_residual():.3e} "
+                                 f"exceeds {engine.BALANCE_TOL:.1e}")
 
 
 def _cmd_iv_curve(args):
     if not 0 <= args.g <= IV_G_MAX:
-        print(f"iv-curve: --g must be a number in [0, {IV_G_MAX:g}] W/m2", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"iv-curve: --g must be a number in [0, {IV_G_MAX:g}] W/m2")
     if not -273.15 < args.t <= T_MAX_C:
-        print(f"iv-curve: --t must be a temperature in (-273.15, {T_MAX_C:g}] degC",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"iv-curve: --t must be a temperature in (-273.15, {T_MAX_C:g}] degC")
     if args.points < 2:
-        print("iv-curve: --points must be >= 2", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("iv-curve: --points must be >= 2")
     config = _load_config(args.config)
     check_panel_temperatures(config.panel, (args.t,), "which iv-curve --t sets")
     t_j = args.t + 273.15
@@ -172,25 +166,18 @@ def _cmd_iv_curve(args):
         v_mpp, p_mpp = pv.mpp_oracle(args.g, t_j, config.panel)
         fh.write(f"mpp,{v_mpp!r},{p_mpp!r}\n")
     print(f"iv-curve: {args.points} points, v_mpp={v_mpp:.4f} V, p_mpp={p_mpp:.4f} W")
-    return EXIT_OK
 
 
 def _plateaus(config, n_steps):
-    """Yield ``(start, conditions)`` for each run of steps whose ``(g, t_c)`` equal its first's.
+    """Yield, as a list, the ``(g, t_c)`` samples of each run of steps that equal its first.
 
-    ``==`` puts ``g = -0.0`` in a run of ``0.0``; each step keeps its own sample.
+    ``groupby`` compares each step with its run's first by ``==``, which puts
+    ``g = -0.0`` in a run of ``0.0``; each step keeps its own sample.
     """
-    g_at = cursor(config.irradiance)
-    t_c_at = cursor(config.temperature)
-    start, conditions = 0, []
-    for k in range(n_steps):
-        t = k * config.t_mppt
-        now = (g_at(t), t_c_at(t))
-        if conditions and now != conditions[0]:
-            yield start, conditions
-            start, conditions = k, []
-        conditions.append(now)
-    yield start, conditions
+    g_at, t_c_at = cursor(config.irradiance), cursor(config.temperature)
+    samples = ((g_at(k * config.t_mppt), t_c_at(k * config.t_mppt)) for k in range(n_steps))
+    for _, run in itertools.groupby(samples):
+        yield list(run)
 
 
 def _compare_plateaus(config, n_steps, fh):
@@ -202,7 +189,8 @@ def _compare_plateaus(config, n_steps, fh):
     states = {kind: mp.MpptState(d=config.d0, delta_d=config.delta_d, d_max=config.d_max)
               for kind in ("po", "flc")}
     fh.write("t_s,g_wm2,t_c,d_po,v_po,p_po,d_flc,v_flc,p_flc\n")
-    for start, conditions in _plateaus(config, n_steps):
+    start = 0
+    for conditions in _plateaus(config, n_steps):
         g, t_c = conditions[0]
         runs = {kind: engine.run_tracking(kind, config.panel, g, t_c, len(conditions),
                                           config.v_bus_nominal, state, config.fuzzy, config.eta)
@@ -224,6 +212,7 @@ def _compare_plateaus(config, n_steps, fh):
                 line += f"  {kind}: eff=n/a ripple=n/a"
             last_ripple[kind] = ripple if p_mpp > 0.0 else None
         print(line)
+        start += len(conditions)
     return last_ripple
 
 
@@ -232,22 +221,14 @@ def _cmd_mppt_compare(args):
     n_steps = max(2, engine.step_count(config.t_end, config.t_mppt))
     with _replaced_when_done(args.out) as (fh,):
         last_ripple = _compare_plateaus(config, n_steps, fh)
-
-    if last_ripple["po"] is None:
+    po, flc = last_ripple["po"], last_ripple["flc"]
+    if po is None:
         print("mppt-compare: no PV power in final segment, comparison n/a")
-        return EXIT_OK
-    if last_ripple["flc"] < last_ripple["po"]:
-        print(
-            f"mppt-compare: flc ripple {last_ripple['flc']:.4f} W < "
-            f"po ripple {last_ripple['po']:.4f} W"
-        )
-        return EXIT_OK
-    print(
-        f"mppt-compare: flc ripple {last_ripple['flc']:.4f} W is not below "
-        f"po ripple {last_ripple['po']:.4f} W",
-        file=sys.stderr,
-    )
-    return EXIT_INVARIANT
+    elif flc < po:
+        print(f"mppt-compare: flc ripple {flc:.4f} W < po ripple {po:.4f} W")
+    else:
+        raise InvariantViolation(f"mppt-compare: flc ripple {flc:.4f} W is not below "
+                                 f"po ripple {po:.4f} W")
 
 
 _MODE_TABLE_LINES = [
@@ -265,9 +246,7 @@ def _cmd_modes_check(_args):
     for line in lines:
         print(line)
     if lines != _MODE_TABLE_LINES:
-        print("modes-check: switch table does not match the expected table", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+        raise InvariantViolation("modes-check: switch table does not match the expected table")
 
 
 def build_parser():
@@ -299,10 +278,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -315,6 +293,7 @@ def main(argv=None):
     except PvbatsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

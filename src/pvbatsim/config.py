@@ -220,6 +220,9 @@ def _load_blocks(value):
 def _load_profile_csv(name, entry):
     if not isinstance(entry, dict) or "csv" not in entry:
         raise ConfigError(f"profiles.{name} must be a mapping with a 'csv' path")
+    for key in entry:
+        if key != "csv":
+            raise ConfigError(f"unknown config key 'profiles.{name}.{key}'")
     path = entry["csv"]
     if not isinstance(path, str):
         raise ConfigError(f"profiles.{name}.csv must be a path string, got {path!r}")
@@ -232,12 +235,12 @@ def _load_profile_csv(name, entry):
 def _build_profiles(section):
     if not isinstance(section, dict):
         raise ConfigError("profiles must be a mapping")
-    if "synthetic" in section and len(section) == 1:
+    for key in section:
+        if key != "synthetic" and key not in _PROFILE_COLUMNS:
+            raise ConfigError(f"unknown config key 'profiles.{key}'")
+    if set(section) == {"synthetic"}:
         return _build_synthetic(section["synthetic"])
-    if set(_PROFILE_COLUMNS) <= set(section):
-        for key in section:
-            if key not in _PROFILE_COLUMNS:
-                raise ConfigError(f"unknown config key 'profiles.{key}'")
+    if set(section) == set(_PROFILE_COLUMNS):
         return tuple(_load_profile_csv(name, section[name]) for name in _PROFILE_COLUMNS)
     raise ConfigError(
         "profiles must be either {synthetic: {...}} or per-signal "
@@ -285,7 +288,7 @@ def check_panel_temperatures(panel, temps_c, reached):
 _SOC_CHAIN = ("soc_min", "soc_min_release", "soc_max_release", "soc_max")
 
 
-def build_sim_config(data=None, mppt_override=None):
+def build_sim_config(data=None):
     """Validate a config dict, the table's defaults filled in, into a SimConfig."""
     data = data or {}
     for key in data:
@@ -301,7 +304,6 @@ def build_sim_config(data=None, mppt_override=None):
                           "simulation.t_end_s / dt_s must be a finite step count")
     if sim["mppt_kind"] not in ("po", "flc"):
         raise ConfigError(f"simulation.mppt must be 'po' or 'flc', got {sim['mppt_kind']!r}")
-    sim["mppt_kind"] = mppt_override or sim["mppt_kind"]
 
     panel = pv.PvPanelParams(**_checked("panel", data.get("panel", {})))
     battery = bat.BatteryParams(**_checked("battery", data.get("battery", {})))

@@ -625,6 +625,13 @@ class TestBadInputs:
         pytest.param(CSV_LOAD % "{tmp}/latin1.csv", SIMULATE, 1,
                      "config error: profiles.load.csv", id="csv-not-utf8"),
         pytest.param(CSV_LOAD % "{tmp}/adir", SIMULATE, 2, "{tmp}/adir", id="csv-directory"),
+        pytest.param("simulation: {t_end_s: 60}\nprofiles:\n"
+                     "  irradiance: {csv: {tmp}/irr.csv, column: oops}\n"
+                     "  temperature: {csv: {tmp}/temp.csv}\n  load: {csv: {tmp}/load.csv}\n",
+                     SIMULATE, 1, "config error: unknown config key 'profiles.irradiance.column'",
+                     id="csv-entry-unknown-key"),
+        pytest.param("profiles: {synthetic: {}, wind: {csv: {tmp}/load.csv}}", SIMULATE, 1,
+                     "config error: unknown config key 'profiles.wind'", id="profiles-unknown-key"),
         # profile values have no upper bound: the battery solve overflows
         pytest.param(CSV_LOAD % "{tmp}/huge.csv", SIMULATE, 3,
                      "invariant violation: step 0 (t=0.0): battery solve for 1e+300 W failed",
@@ -633,12 +640,22 @@ class TestBadInputs:
                      "{tmp}/adir", id="config-directory"),
         pytest.param(None, ["simulate", "--config", "{tmp}/latin1.yaml", "--out", "{tmp}/o.csv"],
                      1, "config error: {tmp}/latin1.yaml", id="config-not-utf8"),
-        pytest.param(None, IV_CURVE + ["--g", "nan"], 1, "--g", id="iv-g-nan"),
-        pytest.param(None, IV_CURVE + ["--g", "inf"], 1, "--g", id="iv-g-inf"),
-        pytest.param(None, IV_CURVE + ["--g", "1e10"], 1, "--g", id="iv-g-above-max"),
+        pytest.param(None, IV_CURVE + ["--g", "nan"], 1, "config error: iv-curve: --g",
+                     id="iv-g-nan"),
+        pytest.param(None, IV_CURVE + ["--g", "inf"], 1, "config error: iv-curve: --g",
+                     id="iv-g-inf"),
+        pytest.param(None, IV_CURVE + ["--g", "1e10"], 1, "config error: iv-curve: --g",
+                     id="iv-g-above-max"),
         pytest.param(None, IV_CURVE + ["--t", "nan"], 1, "--t", id="iv-t-nan"),
         pytest.param(None, IV_CURVE + ["--t", "-300"], 1, "--t", id="iv-t-below-zero-k"),
         pytest.param(None, IV_CURVE + ["--t", "200.5"], 1, "--t", id="iv-t-above-max"),
+        pytest.param(None, IV_CURVE + ["--t", "1e400"], 1,
+                     "config error: iv-curve: --t must be a temperature in (-273.15, 200] degC",
+                     id="iv-t-inf"),
+        pytest.param(None, IV_CURVE + ["--points", "1"], 1,
+                     "config error: iv-curve: --points must be >= 2", id="iv-points-one"),
+        pytest.param(None, IV_CURVE + ["--points", "-5"], 1,
+                     "config error: iv-curve: --points must be >= 2", id="iv-points-negative"),
         pytest.param("panel: {preset: generic_80w}", SIMULATE, 1,
                      "config error: unknown config key 'panel.preset'", id="preset-not-string"),
         pytest.param("battery: {c_10_ah: -1}", SIMULATE, 1,
@@ -774,6 +791,38 @@ class TestBadInputs:
         assert cli.main([arg.replace("{tmp}", tmp) for arg in SIMULATE]) == 0
         rows = (input_files / "o.csv").read_text().splitlines()[1:]
         assert float(rows[1].split(",")[2]) == math.nextafter(-273.15, 0.0)
+
+
+class TestVerdictFailures:
+    """A verdict that fails after a complete run exits 3 with its outputs written."""
+
+    def test_ledger_closure(self, short_config, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine.EnergyLedger, "closes", lambda self: False)
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", short_config, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "ledger closure=" in captured.out and "(FAILED)" in captured.out
+        assert captured.err.startswith("invariant violation: simulate: ledger closure ")
+        assert len(out.read_text().splitlines()) == 601
+        assert (tmp_path / "run.csv.ledger").read_text()
+
+    def test_ripple_verdict(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "steady_stats", lambda samples: (1.0, 0.5))
+        cfg = write_csv_profiles(tmp_path, "0,1000\n2,1000\n", t_end=2)
+        out = tmp_path / "cmp.csv"
+        assert cli.main(["mppt-compare", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "invariant violation: mppt-compare: flc ripple 0.5000 W is not below "
+            "po ripple 0.5000 W\n")
+        assert len(out.read_text().splitlines()) == 1 + 20
+
+    def test_switch_table(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SWITCH_TABLE", {**cli.SWITCH_TABLE, 4: (1, 1, 1)})
+        assert cli.main(["modes-check"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[3] == "Mode4 On On On"
+        assert len(captured.out.splitlines()) == 5
+        assert captured.err.startswith("invariant violation: modes-check: ")
 
 
 class TestArgumentErrors:

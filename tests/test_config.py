@@ -66,10 +66,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="mppt"):
             build_sim_config({"simulation": {"mppt": "incond"}})
 
-    def test_mppt_override_wins(self):
-        config = build_sim_config({"simulation": {"mppt": "flc"}}, mppt_override="po")
-        assert config.mppt_kind == "po"
-
     def test_unknown_panel_preset(self):
         with pytest.raises(ConfigError, match=r"^unknown config key 'panel\.preset'$"):
             build_sim_config({"panel": {"preset": "generic_80w"}})

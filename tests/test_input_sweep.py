@@ -6,8 +6,14 @@ does the same for the panel, converter and MPPT keys with the sun up from
 midnight, so that the lit PV is solved. A seeded sample of the cases runs
 here. Each must exit 0 with a finite CSV, or exit 1 with
 ``config error: <section>.<key>``, and none may raise out of ``main``.
+
+The structure sweep replaces each key and each section of a 3 s default run
+with a value of the wrong shape, and adds an unknown key to each section. A
+seeded sample of its cases runs here; each must exit 0, or exit 1 naming the
+dotted path it changed.
 """
 
+import copy
 import random
 
 import pytest
@@ -85,3 +91,59 @@ def test_exits_cleanly(probe, key, value, tmp_path, capsys):
     else:
         assert code == 3 and (key, value) in EXIT_3_ALLOWED, err
         assert err.startswith("invariant violation: step "), err
+
+
+#: Values of the wrong type for most keys: a string that reads as a number, and
+#: 1e400, which YAML writes as infinity.
+SHAPES = (None, "x", [], {}, [1, 2], True, 1e400, "1.0")
+
+#: Cases drawn from the structure sweep's 425, and the seed that draws them.
+SHAPE_SAMPLE_SIZE, SHAPE_SEED = 200, 20261
+
+
+def short_run():
+    config = default_config()
+    config["simulation"]["t_end_s"] = 3
+    return config
+
+
+def nested(path, config=None):
+    """The value at a dotted path of ``config``, by default of the 3 s run."""
+    node = short_run() if config is None else config
+    for part in path.split("."):
+        node = node[part]
+    return node
+
+
+def config_paths(node, prefix=""):
+    """Dotted paths of every key of a nested config dict, sections included."""
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from config_paths(value, f"{prefix}{key}.")
+
+
+def shape_cases():
+    paths = list(config_paths(short_run()))
+    sections = [""] + [f"{path}." for path in paths if isinstance(nested(path), dict)]
+    cases = [(path, value) for path in paths for value in SHAPES]
+    cases += [(section + "not_a_key", 1) for section in sections]
+    # an empty simulation section runs the full 86,400-step day
+    return [case for case in cases if case != ("simulation", {})]
+
+
+SHAPE_SAMPLE = random.Random(SHAPE_SEED).sample(shape_cases(), SHAPE_SAMPLE_SIZE)
+
+
+@pytest.mark.parametrize("path,value", SHAPE_SAMPLE,
+                         ids=[f"{path}={value!r}" for path, value in SHAPE_SAMPLE])
+def test_structure_exits_cleanly(path, value, tmp_path, capsys):
+    config = short_run()
+    section, _, key = path.rpartition(".")
+    (nested(section, config) if section else config)[key] = copy.deepcopy(value)
+    cfg = tmp_path / "case.yaml"
+    cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    assert code == 0 or (err.startswith("config error: ") and path in err), err
