@@ -11,7 +11,7 @@ current = discharge.
 from dataclasses import dataclass
 
 from pvbatsim import _kernels
-from pvbatsim.errors import ConvergenceError
+from pvbatsim.errors import InvariantViolation
 
 #: SOC band inside which the loaded voltage laws hold (1/SOC^1.5 and
 #: 1/(1-SOC)^1.2 singularities). The step loop loads the bank only inside it,
@@ -122,16 +122,19 @@ def current_for_power(p_bat, state, params):
     :func:`_kernels.battery_tolerance`; ``v`` is the voltage there, or at a zero current
     (``+0.0``) the rest voltage of :func:`terminal_voltage`. A discharge needs
     ``soc > SOC_FLOOR`` and a charge ``soc < SOC_CEILING`` (the step loop downgrades
-    instead). Raises :class:`ConvergenceError` on a stall or a NaN residual.
+    instead). Raises :class:`InvariantViolation`, naming ``p_bat``, on a stall, a
+    NaN residual or a power so large that the voltage law overflows.
     """
     if p_bat != 0.0:
-        i, residual, _, v = _kernels.battery_current_for_power(
-            p_bat, state.soc, params.c_10, params.delta_t, params.n_serial, params.n_parallel,
-            params.discharge_exp)
+        try:
+            i, residual, _, v = _kernels.battery_current_for_power(
+                p_bat, state.soc, params.c_10, params.delta_t, params.n_serial,
+                params.n_parallel, params.discharge_exp)
+        except OverflowError as exc:
+            raise InvariantViolation(f"battery solve for {p_bat:g} W failed: {exc}") from exc
         if not abs(residual) <= _kernels.battery_tolerance(p_bat):
-            raise ConvergenceError(
-                f"battery current fixed point stalled at residual {residual:.3e} W"
-            )
+            raise InvariantViolation(f"battery solve for {p_bat:g} W failed: battery current "
+                                     f"fixed point stalled at residual {residual:.3e} W")
         if i != 0.0:
             return i, v
     return 0.0, terminal_voltage(state, 0.0, params)

@@ -20,7 +20,7 @@ from pvbatsim import engine, pv
 from pvbatsim import mppt as mp
 from pvbatsim.config import (build_sim_config, check_panel_temperatures, default_config,
                              load_config_file)
-from pvbatsim.errors import ConfigError, InvariantViolation, PvbatsimError
+from pvbatsim.errors import ConfigError, InvariantViolation
 from pvbatsim.profiles import T_MAX_C, cursor
 from pvbatsim.supervisor import SWITCH_TABLE
 
@@ -289,9 +289,6 @@ def main(argv=None):
         return EXIT_IO
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except PvbatsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 

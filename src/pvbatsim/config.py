@@ -8,13 +8,14 @@ the records built from it carry neither and trust it.
 
 import copy
 import math
+import re
 
 from pvbatsim import battery as bat
 from pvbatsim import mppt as mp
 from pvbatsim import pv
 from pvbatsim import supervisor as sup
 from pvbatsim.engine import SimConfig
-from pvbatsim.errors import ConfigError, ProfileError
+from pvbatsim.errors import ConfigError
 from pvbatsim.profiles import T_MAX_C, load_csv, synthetic_day
 
 # Bounds, as keyword arguments of ``_number``.
@@ -112,12 +113,21 @@ def default_config():
 
 
 def load_config_file(path):
-    """Parse a YAML config file into a plain dict (no validation yet)."""
+    """Parse a YAML config file into a plain dict (no validation yet).
+
+    YAML 1.1 reads ``1e-3`` as text and only ``1.0e-3`` as a number; here both
+    are numbers, while a quoted ``"1e-3"`` stays text.
+    """
     import yaml  # only a run with --config parses YAML
 
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -228,7 +238,7 @@ def _load_profile_csv(name, entry):
         raise ConfigError(f"profiles.{name}.csv must be a path string, got {path!r}")
     try:
         return load_csv(path, _PROFILE_COLUMNS[name])
-    except (ProfileError, UnicodeDecodeError) as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         raise ConfigError(f"profiles.{name}.csv: {exc}") from exc
 
 

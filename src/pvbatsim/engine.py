@@ -26,7 +26,7 @@ from pvbatsim import converter
 from pvbatsim import mppt as mp
 from pvbatsim import pv
 from pvbatsim import supervisor as sup
-from pvbatsim.errors import ConvergenceError, DomainError, InvariantViolation
+from pvbatsim.errors import InvariantViolation
 from pvbatsim.profiles import TimeSeriesProfile, cursor
 
 #: Relative tolerance of the per-record power balance and the ledger closure.
@@ -180,8 +180,8 @@ def _loop(config, state, ledger, first, stop):
 
     A charge at or above ``SOC_CEILING`` or a discharge at or below
     ``SOC_FLOOR`` is not solved: the step downgrades to protective mode 4 or
-    5. A solver failure or a 0 K junction, a NaN solve, an overflowing battery
-    solve or a row off its power balance ends the run with the step index attached.
+    5. Every :class:`InvariantViolation` of a step (a failed PV or battery solve,
+    a row off its power balance) ends the run with the step and its time attached.
     """
     panel = config.panel
     battery = config.battery
@@ -213,10 +213,7 @@ def _loop(config, state, ledger, first, stop):
             d = mppt_state.d
             flags = FLAG_DUTY_LIMIT if d == 0.0 or d == d_max else 0
             v_cand = converter.pv_port_voltage(v_bus, d)
-            try:
-                i_pv, p_port, pv_clamped = pv.operating_point(v_cand, g, t_amb + 273.15, panel)
-            except (ConvergenceError, DomainError) as exc:
-                raise InvariantViolation(f"step {k} (t={t}): PV solve failed: {exc}") from exc
+            i_pv, p_port, pv_clamped = pv.operating_point(v_cand, g, t_amb + 273.15, panel)
             if pv_clamped:
                 flags |= FLAG_PV_CLAMP
             p_avail = eta * p_port
@@ -228,12 +225,7 @@ def _loop(config, state, ledger, first, stop):
                 mode = sup.MODE4 if p_bat_set < 0.0 else sup.MODE5
                 p_bat_set, p_served, p_curt, p_pv_used = sup.route_power(mode, p_avail, p_load)
                 flags |= FLAG_PROTECTIVE
-            try:
-                i_bat, v_bat = bat.current_for_power(p_bat_set, bat_state, battery)
-            except (ConvergenceError, OverflowError) as exc:
-                raise InvariantViolation(
-                    f"step {k} (t={t}): battery solve for {p_bat_set:g} W failed: {exc}"
-                ) from exc
+            i_bat, v_bat = bat.current_for_power(p_bat_set, bat_state, battery)
             p_bat = i_bat * v_bat
             if bat.soc_update(bat_state, i_bat, dt_h, battery):
                 flags |= FLAG_SOC_CLAMP
@@ -262,9 +254,7 @@ def _loop(config, state, ledger, first, stop):
             else:
                 err = abs(p_served) + abs(p_bat) + abs(p_pv_used)
             if not err <= BALANCE_TOL * max(1.0, p_load, p_pv_used):
-                raise InvariantViolation(
-                    f"step {k} (t={t}): mode {mode} power balance off by {err:.3e} W"
-                )
+                raise InvariantViolation(f"mode {mode} power balance off by {err:.3e} W")
 
             if (k + 2) % mppt_every == 0:
                 mppt_step(p_port, v_cand, mppt_state, fuzzy)
@@ -274,6 +264,8 @@ def _loop(config, state, ledger, first, stop):
                 v_cand if connected else 0.0, i_pv if connected else 0.0, d,
                 mode, k1, k2, k3, p_curt, flags,
             )
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"step {k} (t={t}): {exc}") from exc
     finally:
         state.v_bus = v_bus
         (ledger.e_pv, ledger.e_load_served, ledger.e_load_unserved, ledger.e_bat_in,

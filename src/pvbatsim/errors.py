@@ -1,26 +1,11 @@
-"""Exception types shared across the simulator. Each one means a failed run
-or command, never a branch of a step; the CLI maps them to its exit codes."""
+"""The simulator's two exception types, one per exit code of the CLI. Each
+means a failed run or command, never a branch of a step; an ``OSError`` is
+the third failure, exit 2."""
 
 
-class PvbatsimError(Exception):
-    """Base class for all simulator errors."""
+class ConfigError(ValueError):
+    """A configuration file, profile CSV or flag failed validation (exit 1)."""
 
 
-class DomainError(PvbatsimError, ValueError):
-    """An argument lies outside the physical domain of an operation."""
-
-
-class ConvergenceError(PvbatsimError):
-    """An iterative solver failed to meet its tolerance."""
-
-
-class ConfigError(PvbatsimError, ValueError):
-    """A configuration file or value failed validation."""
-
-
-class ProfileError(PvbatsimError, ValueError):
-    """A time-series profile failed validation."""
-
-
-class InvariantViolation(PvbatsimError):
-    """A runtime consistency check (power balance, ledger closure) failed."""
+class InvariantViolation(Exception):
+    """A solve failed or a consistency check did not hold (exit 3)."""

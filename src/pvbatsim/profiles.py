@@ -8,7 +8,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from pvbatsim.errors import ProfileError
+from pvbatsim.errors import ConfigError
 
 QUANTITIES = ("irradiance_wm2", "temperature_c", "load_w")
 
@@ -100,7 +100,7 @@ def load_csv(path, column):
 
     Validation failures (missing column, non-monotonic time, NaN, negative
     irradiance/load, temperature at or below absolute zero or above
-    :data:`T_MAX_C`, unparseable rows) raise :class:`ProfileError` naming
+    :data:`T_MAX_C`, unparseable rows) raise :class:`ConfigError` naming
     the offending row. ``column`` is one of :data:`QUANTITIES`.
     """
     times, values = [], []
@@ -108,32 +108,32 @@ def load_csv(path, column):
         header = fh.readline().strip()
         expected = f"time_s,{column}"
         if header != expected:
-            raise ProfileError(f"{path}: expected header {expected!r}, got {header!r}")
+            raise ConfigError(f"{path}: expected header {expected!r}, got {header!r}")
         for row_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 2:
-                raise ProfileError(f"{path}: row {row_no}: expected 2 fields, got {len(parts)}")
+                raise ConfigError(f"{path}: row {row_no}: expected 2 fields, got {len(parts)}")
             try:
                 t, v = float(parts[0]), float(parts[1])
             except ValueError:
-                raise ProfileError(f"{path}: row {row_no}: unparseable values {line!r}") from None
+                raise ConfigError(f"{path}: row {row_no}: unparseable values {line!r}") from None
             if not (math.isfinite(t) and math.isfinite(v)):
-                raise ProfileError(f"{path}: row {row_no}: non-finite value")
+                raise ConfigError(f"{path}: row {row_no}: non-finite value")
             if column in _NON_NEGATIVE and v < 0:
-                raise ProfileError(f"{path}: row {row_no}: negative {column} value {v}")
+                raise ConfigError(f"{path}: row {row_no}: negative {column} value {v}")
             # the engine takes the junction temperature as v + 273.15 K
             if column == "temperature_c" and not (v + 273.15 > 0 and v <= T_MAX_C):
-                raise ProfileError(f"{path}: row {row_no}: temperature {v} degC is at or "
-                                   f"below absolute zero or above {T_MAX_C:g} degC")
+                raise ConfigError(f"{path}: row {row_no}: temperature {v} degC is at or "
+                                  f"below absolute zero or above {T_MAX_C:g} degC")
             if times and t <= times[-1]:
-                raise ProfileError(f"{path}: row {row_no}: non-monotonic timestamp {t}")
+                raise ConfigError(f"{path}: row {row_no}: non-monotonic timestamp {t}")
             times.append(t)
             values.append(v)
     if not times:
-        raise ProfileError(f"{path}: no data rows")
+        raise ConfigError(f"{path}: no data rows")
     return TimeSeriesProfile(tuple(times), tuple(values), column)
 
 

@@ -9,7 +9,7 @@ bisection finished with safeguarded Newton.
 from dataclasses import dataclass
 
 from pvbatsim import _kernels
-from pvbatsim.errors import ConvergenceError, DomainError
+from pvbatsim.errors import InvariantViolation
 
 #: Residual tolerance of the implicit diode equation, per returned point [A].
 #: Above 1,000 A of panel photocurrent it is ``1e-12 * i_ph`` instead: a double
@@ -83,7 +83,7 @@ def _panel_terms(g, t_j, params):
     interpolation can reach 0 K next to a knot just above absolute zero.
     """
     if t_j <= 0:
-        raise DomainError(f"junction temperature must be > 0 K, got {t_j}")
+        raise InvariantViolation(f"PV solve failed: junction temperature must be > 0 K, got {t_j}")
     i_ph = params.i_ph_ref * (g / params.g_ref) * (1.0 + params.k_i * (t_j - params.t_ref))
     tol = 1e-12 * i_ph  # a conditional, not max(): the same value, NaN included
     return (i_ph, params.saturation_current(t_j), params.thermal_voltage(t_j),
@@ -96,9 +96,8 @@ def _array_current(v_panel, i_ph, i_0, vt, tol, params):
         v_panel, i_ph, i_0, params.r_s, params.r_sh, vt
     )
     if not abs(residual) <= tol:
-        raise ConvergenceError(
-            f"diode solve stalled at residual {residual:.3e} A after {iters} iterations"
-        )
+        raise InvariantViolation(f"PV solve failed: diode solve stalled at residual "
+                                 f"{residual:.3e} A after {iters} iterations")
     return i_panel * params.n_panels_parallel
 
 
@@ -107,7 +106,8 @@ def solve_operating_current(v_pv, g, t_j, params):
 
     The residual of the returned current is within ``RESIDUAL_TOL`` (relative
     above 1,000 A of photocurrent) at panel level. Raises
-    :class:`ConvergenceError` if the solver cannot reach that tolerance.
+    :class:`InvariantViolation` if the solver cannot reach that tolerance or
+    ``t_j`` is not above 0 K.
     ``v_pv`` is non-negative.
     """
     i_ph, i_0, vt, tol = _panel_terms(g, t_j, params)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pvbatsim import _kernels, battery
 from pvbatsim.config import build_sim_config
-from pvbatsim.errors import ConvergenceError
+from pvbatsim.errors import InvariantViolation
 
 
 # ---------------------------------------------------------------- oracles
@@ -370,14 +370,14 @@ class TestCurrentForPower:
     def test_undeliverable_power_raises(self, params):
         # at low SOC the sag law caps deliverable power well below this
         state = battery.BatteryState(soc=0.15, q=150.0)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(InvariantViolation):
             battery.current_for_power(5000.0, state, params)
 
     def test_nan_solve_raises(self, params, monkeypatch):
         # a NaN residual fails the tolerance test instead of passing it
         monkeypatch.setattr(_kernels, "battery_current_for_power",
                             lambda *args: (math.nan, math.nan, 1, math.nan))
-        with pytest.raises(ConvergenceError, match="residual nan W"):
+        with pytest.raises(InvariantViolation, match="residual nan W"):
             battery.current_for_power(100.0, battery.state_for_soc(0.6, params), params)
 
     def test_random_powers_converge(self, params):
@@ -407,7 +407,7 @@ class TestCurrentForPower:
         state = battery.BatteryState(soc=soc, charging=charging)
         try:
             i, v = battery.current_for_power(p, state, params)
-        except ConvergenceError:
+        except InvariantViolation:
             reject()  # beyond the deliverable power: nothing is returned
         assert v.hex() == battery.terminal_voltage(state, i, params).hex()
         if i == 0.0:

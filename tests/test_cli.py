@@ -9,8 +9,8 @@ import tracemalloc
 
 import pytest
 
-from pvbatsim import cli, engine, pv
-from pvbatsim.errors import ConvergenceError
+from pvbatsim import _kernels, cli, engine, pv
+from pvbatsim.errors import InvariantViolation
 
 SHORT_CONFIG = """\
 simulation:
@@ -285,7 +285,7 @@ class TestSimulateStreaming:
         def failing_solve(*args):
             solves.append(args)
             if len(solves) == 6:  # the PV solve of step 5
-                raise ConvergenceError("injected failure")
+                raise InvariantViolation("PV solve failed: injected failure")
             return real_solve(*args)
 
         monkeypatch.setattr(pv, "operating_point", failing_solve)
@@ -500,12 +500,12 @@ class TestMpptCompare:
         def failing_oracle(g, t_j, params):
             calls.append(g)
             if len(calls) == 2:
-                raise ConvergenceError("injected oracle failure")
+                raise InvariantViolation("injected oracle failure")
             return real_oracle(g, t_j, params)
 
         monkeypatch.setattr(pv, "mpp_oracle", failing_oracle)
         assert cli.main(["mppt-compare", "--config", cfg, "--out", str(out)]) == 3
-        assert "injected oracle failure" in capsys.readouterr().err
+        assert "invariant violation: injected oracle failure" in capsys.readouterr().err
         assert calls == [1000.0, 600.0]
         assert out.read_bytes() == b"previous comparison\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -665,6 +665,10 @@ class TestBadInputs:
                      "config error: battery.c_10_ah", id="c10-subnormal"),
         pytest.param("battery: {c_10_ah: 9.0e-4}", SIMULATE, 1,
                      "config error: battery.c_10_ah", id="c10-below-1mah"),
+        # a quoted number stays text, also where the unquoted one reads as a number
+        pytest.param('battery: {c_10_ah: "1e2"}', SIMULATE, 1,
+                     "config error: battery.c_10_ah must be a number, got '1e2'",
+                     id="c10-quoted-exponent"),
         # g / g_ref is infinite on a subnormal reference: an hour of daylight reaches it
         pytest.param(SUNLIT_HOUR + "panel: {g_ref: 5.0e-324}", SIMULATE, 1,
                      "config error: panel.g_ref", id="g-ref-subnormal"),
@@ -823,6 +827,50 @@ class TestVerdictFailures:
         assert captured.out.splitlines()[3] == "Mode4 On On On"
         assert len(captured.out.splitlines()) == 5
         assert captured.err.startswith("invariant violation: modes-check: ")
+
+
+class TestSolverFailures:
+    """A solve that fails exits 3 with one ``invariant violation:`` line in every command."""
+
+    @pytest.mark.parametrize("command", ["iv-curve", "mppt-compare", "simulate"])
+    def test_stalled_diode_solve(self, command, tmp_path, capsys, monkeypatch):
+        real_solve = _kernels.solve_diode_current
+
+        def stalled_solve(*args):
+            i, _, iters = real_solve(*args)
+            return i, 1.0, iters
+
+        monkeypatch.setattr(_kernels, "solve_diode_current", stalled_solve)
+        cfg = write_csv_profiles(tmp_path, "0,1000\n3,1000\n", t_end=3)
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"previous output\n")
+        argv = [command, "--out", str(out)] + (["--config", cfg] if command != "iv-curve" else [])
+        assert cli.main(argv) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("invariant violation: "), line
+        assert "PV solve failed: diode solve stalled at residual 1.000e+00 A" in line
+        if command == "simulate":
+            assert line.startswith("invariant violation: step 0 (t=0.0): PV solve failed: ")
+        assert_no_child_process()
+        assert out.read_bytes() == b"previous output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cmp.yaml", "irr.csv", "load.csv", "o.csv", "temp.csv"]
+
+
+class TestExponentNumbers:
+    """A config number written with an exponent but no decimal point is a number."""
+
+    def test_same_bytes_as_decimal_point(self, tmp_path, capsys):
+        outputs = []
+        for name, numbers in (("exp", "battery: {c_10_ah: 1e2}\npanel: {i_0_ref: 7e-8}\n"),
+                              ("dec", "battery: {c_10_ah: 100.0}\npanel: {i_0_ref: 7.0e-8}\n")):
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text("simulation: {t_end_s: 600}\nprofiles: {synthetic: {sunrise_h: 0.0}}\n"
+                           + numbers, encoding="utf-8")
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), (tmp_path / f"{name}.csv.ledger").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestArgumentErrors:

@@ -158,6 +158,17 @@ class TestYamlLoading:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("text,value", [
+        ("1e-3", 1e-3), ("1.0e-3", 1e-3), ("-1E+2", -100.0), ("7e-8", 7e-8), ("1_0e1", 100.0),
+        ("1e400", float("inf")), ("12", 12), ("'1e2'", "1e2"), ('"1.0"', "1.0"), ("1e", "1e"),
+    ])
+    def test_exponent_numbers(self, text, value, tmp_path):
+        # YAML 1.1 reads an exponent without a sign or a decimal point as text
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"x: {text}\n", encoding="utf-8")
+        read = load_config_file(str(path))["x"]
+        assert (read, type(read)) == (value, type(value))
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("simulation: [unclosed", encoding="utf-8")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pvbatsim import battery, converter, engine, mppt, pv, supervisor
 from pvbatsim.config import build_sim_config
-from pvbatsim.errors import ConvergenceError, InvariantViolation
+from pvbatsim.errors import InvariantViolation
 from pvbatsim.profiles import TimeSeriesProfile, sample
 from test_profiles import write_csv
 
@@ -437,8 +437,17 @@ def layered_step(config, state, schedule, t, ledger, step_index):
     and ``ledger``, each profile is read with ``profiles.sample`` and the
     record is checked by :func:`check_balance`. The controller acts at the
     start of a step, on the measurement ``schedule`` carries, where
-    ``engine`` acts at the end of the step before.
+    ``engine`` acts at the end of the step before. A failure of the step
+    names it, as the engine's does.
     """
+    try:
+        return layered_step_body(config, state, schedule, t, ledger)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"step {step_index} (t={t}): {exc}") from exc
+
+
+def layered_step_body(config, state, schedule, t, ledger):
+    """The work of :func:`layered_step`, without the step's name on its failures."""
     g = sample(config.irradiance, t)
     t_amb = sample(config.temperature, t)
     p_load = sample(config.load, t)
@@ -460,10 +469,7 @@ def layered_step(config, state, schedule, t, ledger, step_index):
     d = mppt_state.d
     flags = engine.FLAG_DUTY_LIMIT if d == 0.0 or d == mppt_state.d_max else 0
     v_cand = converter.pv_port_voltage(state.v_bus, d)
-    try:
-        i_pv, p_port, pv_clamped = pv.operating_point(v_cand, g, t_j, config.panel)
-    except ConvergenceError as exc:
-        raise InvariantViolation(f"step {step_index} (t={t}): PV solve failed: {exc}") from exc
+    i_pv, p_port, pv_clamped = pv.operating_point(v_cand, g, t_j, config.panel)
     if pv_clamped:
         flags |= engine.FLAG_PV_CLAMP
     p_avail = config.eta * p_port
@@ -484,14 +490,10 @@ def layered_step(config, state, schedule, t, ledger, step_index):
         mode = supervisor.MODE5 if p_bat_set > 0 else supervisor.MODE4
         p_bat_set, p_served, p_curt, p_pv_used = supervisor.route_power(mode, p_avail, p_load)
         flags |= engine.FLAG_PROTECTIVE
-    try:
-        i_bat = (
-            battery.current_for_power(p_bat_set, bat_state, params)[0]
-            if p_bat_set != 0.0 else 0.0
-        )
-    except ConvergenceError as exc:
-        raise InvariantViolation(
-            f"step {step_index} (t={t}): battery solve failed: {exc}") from exc
+    i_bat = (
+        battery.current_for_power(p_bat_set, bat_state, params)[0]
+        if p_bat_set != 0.0 else 0.0
+    )
 
     v_bat = battery.terminal_voltage(bat_state, i_bat, params)
     p_bat = i_bat * v_bat
@@ -518,11 +520,11 @@ def layered_step(config, state, schedule, t, ledger, step_index):
     ledger.e_curtailed += p_curt * dt_h
     ledger.e_loss += ((p_port - p_avail) if connected else 0.0) * dt_h
 
-    check_balance(record, step_index)
+    check_balance(record)
     return record
 
 
-def check_balance(rec, step_index):
+def check_balance(rec):
     scale = max(1.0, rec.p_load_requested, rec.p_pv)
     mode = rec.mode
     if mode == 1:
@@ -534,9 +536,7 @@ def check_balance(rec, step_index):
     else:
         err = abs(rec.p_load_served) + abs(rec.p_bat) + abs(rec.p_pv)
     if not err <= engine.BALANCE_TOL * scale:
-        raise InvariantViolation(
-            f"step {step_index} (t={rec.t}): mode {mode} power balance off by {err:.3e} W"
-        )
+        raise InvariantViolation(f"mode {mode} power balance off by {err:.3e} W")
 
 
 def run_until_error(rows):

@@ -11,6 +11,10 @@ The structure sweep replaces each key and each section of a 3 s default run
 with a value of the wrong shape, and adds an unknown key to each section. A
 seeded sample of its cases runs here; each must exit 0, or exit 1 naming the
 dotted path it changed.
+
+The profile CSV sweep feeds each signal of the per-signal ``profiles`` form
+bad values, times, files and entries on a 3 s run. Each case exits 0 with
+nothing on stderr, or 1, 2 or 3 with one stderr line of that code's prefix.
 """
 
 import copy
@@ -147,3 +151,84 @@ def test_structure_exits_cleanly(path, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code in (0, 1), err
     assert code == 0 or (err.startswith("config error: ") and path in err), err
+
+
+#: The CSV column of each profile signal, and a valid value of it for the
+#: cases that vary the times or the file.
+PROFILE_COLUMNS = {"irradiance": "irradiance_wm2", "temperature": "temperature_c",
+                   "load": "load_w"}
+PROFILE_VALUES = {"irradiance": "800", "temperature": "25", "load": "100"}
+
+#: Profile CSV cases that may exit 3, and why: the battery solve for the
+#: asked power overflows or stalls, and names the power and the step.
+PROFILE_EXIT_3_ALLOWED = {
+    ("irradiance", "value-huge"): "overload: huge PV power in the battery charge solve",
+    ("load", "value-big"): "overload: the load exceeds the bank's peak power",
+    ("load", "value-huge"): "overload: the load exceeds the bank's peak power",
+}
+
+
+def profile_files(signal):
+    """Name and bytes of each profile CSV case for ``signal``."""
+    header = f"time_s,{PROFILE_COLUMNS[signal]}\n"
+    value = PROFILE_VALUES[signal]
+    files = {f"value-{name}": f"{header}0,{v}\n10,{v}\n" for name, v in (
+        ("huge", "1e300"), ("big", "1e7"), ("tiny", "1e-300"), ("negative", "-1"),
+        ("nan", "nan"), ("inf", "inf"))}
+    files.update({
+        "times-repeated": f"{header}0,{value}\n0,{value}\n",
+        "times-unsorted": f"{header}5,{value}\n0,{value}\n",
+        "times-single-row": f"{header}0,{value}\n",
+        "file-no-rows": header,
+        "file-empty": "",
+        "file-bom": f"\ufeff{header}0,{value}\n",
+        "file-crlf": f"{header}0,{value}\n10,{value}\n".replace("\n", "\r\n"),
+    })
+    return {name: text.encode("utf-8") for name, text in files.items()}
+
+
+#: Entries of a signal in the per-signal ``profiles`` form, beside the files.
+PROFILE_ENTRIES = {"entry-" + repr(value): value
+                   for value in (None, "x", [], {}, True, 1e400, "1.0")}
+PROFILE_ENTRIES.update({"csv-null": {"csv": None}, "csv-number": {"csv": 3}})
+
+PROFILE_CASES = [(signal, case) for signal in PROFILE_COLUMNS
+                 for case in [*profile_files(signal), *PROFILE_ENTRIES, "missing", "directory"]]
+
+
+@pytest.mark.parametrize("signal,case", PROFILE_CASES,
+                         ids=[f"{signal}-{case}" for signal, case in PROFILE_CASES])
+def test_profile_csv_exits_cleanly(signal, case, tmp_path, capsys):
+    profiles = {}
+    for name, column in PROFILE_COLUMNS.items():
+        value = PROFILE_VALUES[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"time_s,{column}\n0,{value}\n10,{value}\n", encoding="utf-8")
+        profiles[name] = {"csv": str(path)}
+    files = profile_files(signal)
+    if case in files:
+        (tmp_path / f"{signal}.csv").write_bytes(files[case])
+    elif case in PROFILE_ENTRIES:
+        profiles[signal] = copy.deepcopy(PROFILE_ENTRIES[case])
+    else:
+        profiles[signal] = {"csv": str(tmp_path / "missing.csv" if case == "missing" else tmp_path)}
+    cfg = tmp_path / "case.yaml"
+    cfg.write_text(yaml.safe_dump({"simulation": {"t_end_s": 3}, "profiles": profiles}),
+                   encoding="utf-8")
+    out = tmp_path / "o.csv"
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        text = out.read_text()
+        assert "inf" not in text and "nan" not in text
+        return
+    (line,) = err.splitlines()
+    if code == 1:
+        assert line.startswith(f"config error: profiles.{signal}"), line
+    elif code == 2:
+        assert case in ("missing", "directory") and line.startswith("i/o error: "), line
+        assert profiles[signal]["csv"] in line, line
+    else:
+        assert code == 3 and (signal, case) in PROFILE_EXIT_3_ALLOWED, line
+        assert line.startswith("invariant violation: step ") and "battery solve for" in line, line

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pvbatsim import profiles
 from pvbatsim.config import build_sim_config
-from pvbatsim.errors import ConfigError, ProfileError
+from pvbatsim.errors import ConfigError
 
 
 def write(tmp_path, text, name="profile.csv"):
@@ -34,12 +34,12 @@ class TestLoadCsv:
 
     def test_non_monotonic_names_row(self, tmp_path):
         path = write(tmp_path, "time_s,load_w\n10,5\n5,8\n")
-        with pytest.raises(ProfileError, match="row 3"):
+        with pytest.raises(ConfigError, match="row 3"):
             profiles.load_csv(path, "load_w")
 
     def test_negative_irradiance_rejected(self, tmp_path):
         path = write(tmp_path, "time_s,irradiance_wm2\n0,-50\n")
-        with pytest.raises(ProfileError, match="negative"):
+        with pytest.raises(ConfigError, match="negative"):
             profiles.load_csv(path, "irradiance_wm2")
 
     def test_negative_temperature_allowed(self, tmp_path):
@@ -49,17 +49,17 @@ class TestLoadCsv:
 
     def test_nan_rejected(self, tmp_path):
         path = write(tmp_path, "time_s,load_w\n0,nan\n")
-        with pytest.raises(ProfileError, match="row 2"):
+        with pytest.raises(ConfigError, match="row 2"):
             profiles.load_csv(path, "load_w")
 
     def test_wrong_header(self, tmp_path):
         path = write(tmp_path, "time_s,power\n0,1\n")
-        with pytest.raises(ProfileError, match="header"):
+        with pytest.raises(ConfigError, match="header"):
             profiles.load_csv(path, "load_w")
 
     def test_unparseable_row_named(self, tmp_path):
         path = write(tmp_path, "time_s,load_w\n0,1\nabc,2\n")
-        with pytest.raises(ProfileError, match="row 3"):
+        with pytest.raises(ConfigError, match="row 3"):
             profiles.load_csv(path, "load_w")
 
     def test_round_trip_bit_exact(self, tmp_path):

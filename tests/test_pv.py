@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pvbatsim import _kernels, pv
 from pvbatsim.config import build_sim_config
-from pvbatsim.errors import ConfigError, ConvergenceError, DomainError
+from pvbatsim.errors import ConfigError, InvariantViolation
 
 T_REF = 298.15
 G_REF = 1000.0
@@ -98,7 +98,7 @@ class TestPhotoCurrent:
     def test_interpolated_absolute_zero_rejected(self, panel):
         # -273.15 degC, as interpolating toward a knot one ulp above it rounds
         # without the profile's clamp, is a 0 K junction
-        with pytest.raises(DomainError, match="junction temperature must be > 0 K"):
+        with pytest.raises(InvariantViolation, match="junction temperature must be > 0 K"):
             pv.operating_point(10.0, G_REF, -273.15 + 273.15, panel)
 
 
@@ -315,7 +315,7 @@ class TestResidualCheck:
     def test_nan_solve_raises(self, panel, monkeypatch):
         # a NaN residual fails the tolerance test instead of passing it
         monkeypatch.setattr(_kernels, "solve_diode_current", lambda *args: (math.nan, math.nan, 1))
-        with pytest.raises(ConvergenceError, match="residual nan A"):
+        with pytest.raises(InvariantViolation, match="residual nan A"):
             pv.operating_point(10.0, G_REF, T_REF, panel)
 
     # 1e-9 A up to 1,000 A of photocurrent, 1e-12 * i_ph above it
@@ -327,7 +327,7 @@ class TestResidualCheck:
         if accepted:
             assert pv.solve_operating_current(10.0, G_REF, T_REF, big) == 1.0
         else:
-            with pytest.raises(ConvergenceError):
+            with pytest.raises(InvariantViolation):
                 pv.solve_operating_current(10.0, G_REF, T_REF, big)
 
 
